@@ -6,7 +6,8 @@ artifacts are byte-deterministic given identical inputs and config; wall
 clock timings live only in the manifest.
 
 Exit codes: 0 success, 1 I/O failure, 2 input-format/validation error,
-3 domain error (empty graph).
+3 domain error (empty graph, vanished inflow, empty ranking); `_EXIT_CODES`
+is the one table that maps exceptions onto them.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 from . import ingest as ingest_mod
-from .errors import EmptyGraph, FormatError
+from .errors import DegenerateUpdate, EmptyGraph, EmptyInput, EmptyRanking, FormatError, NodeSetMismatch
 from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
 from .rank import (
@@ -46,24 +49,52 @@ EXIT_IO = 1
 EXIT_FORMAT = 2
 EXIT_DOMAIN = 3
 
+# Every exception the CLI turns into a one-line error, with its exit code.
+# UnicodeDecodeError is a ValueError, so undecodable input exits 2.
+_EXIT_CODES = {
+    OSError: EXIT_IO,
+    FormatError: EXIT_FORMAT,
+    ValueError: EXIT_FORMAT,
+    EmptyGraph: EXIT_DOMAIN,
+    DegenerateUpdate: EXIT_DOMAIN,
+    EmptyRanking: EXIT_DOMAIN,
+    EmptyInput: EXIT_DOMAIN,
+    NodeSetMismatch: EXIT_DOMAIN,
+}
+
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 TXT_BAR_WIDTH = 40
 
+# The JSON type each config-file key accepts; an integer is also a number.
 _CONFIG_KEYS = {
-    "input": str,
-    "format": str,
-    "window_start": int,
-    "window_end": float,
-    "epsilon": float,
-    "max_iters": int,
-    "alpha": float,
-    "norm": str,
-    "k": int,
-    "out_dir": str,
-    "strict": bool,
+    "input": "string",
+    "format": "string",
+    "window_start": "integer",
+    "window_end": "number or null",
+    "epsilon": "number",
+    "max_iters": "integer",
+    "alpha": "number",
+    "norm": "string",
+    "k": "integer",
+    "out_dir": "string",
+    "strict": "boolean",
 }
+
+
+def _json_type(value: object) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
 
 
 @dataclass
@@ -113,15 +144,20 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
-        try:
+        with _reading(path):
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config file {path}: unknown key {key!r}")
+            expected = _CONFIG_KEYS[key]
+            found = _json_type(value)
+            accepted = expected.split(" or ")
+            if found not in accepted and not (found == "integer" and "number" in accepted):
+                raise ValueError(
+                    f"config file {path}: {key!r} must be {expected}, got {found} {json.dumps(value)}"
+                )
             setattr(config, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -133,6 +169,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+@contextmanager
+def _reading(path: str | Path):
+    """Name ``path`` in every format error raised while reading it."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(exc.line, exc.reason, source=str(path)) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(exc.lineno, f"invalid JSON ({exc.msg})", source=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _sha256_digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -140,7 +189,10 @@ def _sha256_digest(path: Path) -> str:
 def _load_manifest(out_dir: Path) -> dict:
     path = out_dir / MANIFEST_NAME
     if path.exists():
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        with _reading(path):
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise FormatError(1, "expected a JSON object", source=str(path))
     else:
         manifest = {}
     manifest["schema_version"] = MANIFEST_SCHEMA_VERSION
@@ -151,9 +203,16 @@ def _load_manifest(out_dir: Path) -> dict:
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a temporary file beside the manifest, then rename it over the
+    manifest, so a run that dies mid-write leaves the previous one intact."""
+    temp = out_dir / f".{MANIFEST_NAME}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(temp, out_dir / MANIFEST_NAME)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -165,10 +224,8 @@ def cmd_ingest(config: RunConfig) -> int:
     fmt = config.format
     if fmt is None:
         fmt = "csv" if input_path.suffix == ".csv" else "jsonl"
-    try:
+    with _reading(input_path):
         result = ingest_mod.parse_tweets(input_path, fmt, strict=config.strict)
-    except FormatError as exc:
-        raise FormatError(exc.line, exc.reason, source=str(input_path)) from exc
     records = ingest_mod.to_interactions(result.tweets)
 
     out_dir = Path(config.out_dir)
@@ -206,10 +263,8 @@ def cmd_rank(config: RunConfig, method: str = "all") -> int:
     start = time.perf_counter()
     out_dir = Path(config.out_dir)
     input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
-    try:
+    with _reading(input_path):
         records = ingest_mod.read_interactions_csv(input_path)
-    except FormatError as exc:
-        raise FormatError(exc.line, exc.reason, source=str(input_path)) from exc
 
     window = config.window()
     params = config.rank_params()
@@ -285,10 +340,8 @@ def _unique_name(base: str, used: set[str]) -> str:
 def cmd_evaluate(config: RunConfig, ranking_paths: list[str], judgments_path: str) -> int:
     """Score each ranking against the judgments; print a comparison table."""
     start = time.perf_counter()
-    try:
+    with _reading(judgments_path):
         judgments = read_judgments_csv(judgments_path)
-    except FormatError as exc:
-        raise FormatError(exc.line, exc.reason, source=str(judgments_path)) from exc
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,11 +349,12 @@ def cmd_evaluate(config: RunConfig, ranking_paths: list[str], judgments_path: st
     reports = []
     used_names: set[str] = set()
     for ranking_path in ranking_paths:
-        try:
+        with _reading(ranking_path):
             ranked = read_ranking_csv(ranking_path)
-        except FormatError as exc:
-            raise FormatError(exc.line, exc.reason, source=str(ranking_path)) from exc
-        report = evaluate(ranked, judgments, config.k)
+        try:
+            report = evaluate(ranked, judgments, config.k)
+        except EmptyRanking as exc:
+            raise EmptyRanking(f"{ranking_path}: {exc}") from exc
         reports.append(report)
         name = _unique_name(report.method or Path(ranking_path).stem, used_names)
         report_path = out_dir / f"report_{name}.json"
@@ -360,10 +414,8 @@ def cmd_report(config: RunConfig, ranking_paths: list[str], fmt: str = "txt") ->
     render = render_txt_chart if fmt == "txt" else render_svg_chart
     used_names: set[str] = set()
     for ranking_path in ranking_paths:
-        try:
+        with _reading(ranking_path):
             ranked = read_ranking_csv(ranking_path)
-        except FormatError as exc:
-            raise FormatError(exc.line, exc.reason, source=str(ranking_path)) from exc
         name = _unique_name(ranked.method or Path(ranking_path).stem, used_names)
         chart = render(ranked, config.k, title=name)
         chart_path = out_dir / f"chart_{name}.{fmt}"
@@ -444,18 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(config, args.rankings, fmt=args.chart_format or "txt")
         parser.error(f"unknown command {args.command!r}")
-    except FormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except EmptyGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: format/validation problems exit 2,
-domain errors (empty graph) exit 3, I/O failures exit 1.
+The CLI maps these onto exit codes (`cli._EXIT_CODES`): format/validation
+problems exit 2, domain errors (empty graph, vanished inflow, empty ranking
+or input, mismatched node sets) exit 3, I/O failures exit 1.
 """
 
 from __future__ import annotations

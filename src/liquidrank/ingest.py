@@ -264,12 +264,3 @@ def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRe
         records.append(InteractionRecord(rater, ratee, ts))
     return records
 
-
-def interactions_csv_bytes(records: Iterable[InteractionRecord]) -> bytes:
-    """In-memory rendering of the canonical interaction CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(INTERACTION_CSV_HEADER)
-    for r in records:
-        writer.writerow([r.rater, r.ratee, r.timestamp])
-    return buf.getvalue().encode("utf-8")

@@ -20,6 +20,15 @@ l1 it is a numerical no-op since W already sums to one. Fixed points are
 exactly the normalized dominant eigenvectors of the inflow matrix, for any
 alpha. Nodes nobody mentions lose reputation geometrically at rate
 (1 - alpha) per cycle, which is what demotes spam raters and their targets.
+
+The inflow U is computed without a matrix: edges are numbered by the
+position of their endpoints in the sorted node table and ordered by
+(rater, ratee) id, and each cycle is one ``np.bincount`` over the ratee ids
+weighted by T_ij * R_i. Every node's inflow is therefore summed in ascending
+rater order, the same order a CSR matrix-vector product uses.
+
+numpy is imported inside the reputation loop only, so importing the package
+(and starting the CLI for ingest, evaluate or report) loads the stdlib alone.
 """
 
 from __future__ import annotations
@@ -29,13 +38,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, NamedTuple
-
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import IO, TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
 from .graph import RatingGraph, TimeWindow, in_weights
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METHOD_MENTIONS = "mentions"
 METHOD_LIQUID = "liquid"
@@ -132,6 +141,8 @@ def _initial_vector(
     mode: str,
     initial: Mapping[str, float] | None,
 ) -> np.ndarray:
+    import numpy as np
+
     n = graph.node_count
     if initial is None:
         return np.full(n, 1.0 / n) if mode == "l1" else np.ones(n)
@@ -147,22 +158,22 @@ def _initial_vector(
     return vec / total
 
 
-def _inflow_matrix(graph: RatingGraph) -> csr_matrix:
-    """Sparse operator mapping scores to inflow: (A @ R)_j = sum_i R_i V_ij / total.
+def _inflow_edges(graph: RatingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges as (rater ids, ratee ids, T_ij), ordered by (rater id, ratee id).
 
-    Weights are pre-divided by the total so the operator, and with it the
-    whole iterate sequence, is untouched by any uniform rescaling of the
-    edge counts.
+    An id is the node's position in the sorted ``graph.nodes``. Weights are
+    pre-divided by the total so the operator, and with it the whole iterate
+    sequence, is untouched by any uniform rescaling of the edge counts.
     """
+    import numpy as np
+
     index = {node: i for i, node in enumerate(graph.nodes)}
-    total = graph.total_weight()
-    rows, cols, data = [], [], []
-    for rater, ratee, weight in graph.sorted_edges():
-        rows.append(index[ratee])
-        cols.append(index[rater])
-        data.append(weight / total)
-    n = graph.node_count
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    m = graph.edge_count
+    raters = np.fromiter((index[rater] for rater, _ in graph.edges), dtype=np.intp, count=m)
+    ratees = np.fromiter((index[ratee] for _, ratee in graph.edges), dtype=np.intp, count=m)
+    weights = np.fromiter(graph.edges.values(), dtype=np.float64, count=m)
+    order = np.argsort(raters * graph.node_count + ratees, kind="stable")
+    return raters[order], ratees[order], weights[order] / graph.total_weight()
 
 
 def liquid_rank(
@@ -179,15 +190,18 @@ def liquid_rank(
     """
     if graph.edge_count == 0:
         raise EmptyGraph("reputation ranking needs at least one edge")
+    import numpy as np
+
     mode = params.norm_mode
     alpha = params.alpha
-    inflow = _inflow_matrix(graph)
+    n = graph.node_count
+    raters, ratees, flow = _inflow_edges(graph)
     scores = _initial_vector(graph, mode, initial)
 
     iterations = 0
     delta = math.inf
     while iterations < params.max_iters:
-        update = inflow @ scores
+        update = np.bincount(ratees, weights=flow * scores[raters], minlength=n)
         update_norm = _norm(update, mode)
         if update_norm <= 0:
             raise DegenerateUpdate(

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from liquidrank import cli
 from liquidrank.cli import main
+from liquidrank.errors import EmptyInput, NodeSetMismatch
 from liquidrank.rank import read_ranking_csv
 
 TWEETS = "\n".join(
@@ -259,6 +261,47 @@ def test_report_deduplicates_output_names(workspace):
     assert (out / "chart_liquid_2.txt").exists()
 
 
+def test_rank_vanishing_inflow_exits_3(workspace, capsys):
+    (workspace / "dag.csv").write_text("rater,ratee,timestamp\na,b,1\n", encoding="utf-8")
+    assert main(["rank", "--input", "dag.csv", "--alpha", "1"]) == 3
+    assert "error: inflow vanished" in capsys.readouterr().err
+
+
+def test_evaluate_empty_ranking_exits_3_naming_file(workspace, capsys):
+    (workspace / "empty.csv").write_text("rank,node,score,method\n")
+    assert main(["evaluate", "empty.csv", "--judgments", "judgments.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty.csv:") and "no entries" in err
+
+
+@pytest.mark.parametrize("exc", [EmptyInput("no rankings"), NodeSetMismatch({"a"}, set())])
+def test_domain_errors_exit_3(workspace, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert main(["report", "any.csv"]) == 3
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["ingest", "--input", "bad.jsonl"], "bad.jsonl"),
+        (["rank", "--input", "bad.csv"], "bad.csv"),
+        (["evaluate", "ranking.csv", "--judgments", "bad.csv"], "bad.csv"),
+        (["report", "bad.csv"], "bad.csv"),
+        (["rank", "--config", "bad.json"], "bad.json"),
+    ],
+)
+def test_non_utf8_input_exits_2_naming_file(workspace, capsys, argv, bad):
+    (workspace / "ranking.csv").write_text("rank,node,score,method\n1,alice,1,liquid\n")
+    (workspace / bad).write_bytes(b"rater,ratee,timestamp\n\xff\xfe,b,1\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 def test_config_file_applies_and_flags_win(workspace):
     (workspace / "config.json").write_text(json.dumps({"alpha": 0.9, "k": 2}))
     assert main(["ingest", "--input", "tweets.jsonl"]) == 0
@@ -282,6 +325,60 @@ def test_config_file_invalid_json_exits_2(workspace, capsys):
     (workspace / "config.json").write_text("{not json")
     assert main(["rank", "--config", "config.json"]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"k": "5"}, "k"),
+        ({"k": 5.0}, "k"),
+        ({"max_iters": True}, "max_iters"),
+        ({"window_start": False}, "window_start"),
+        ({"epsilon": "x"}, "epsilon"),
+        ({"alpha": None}, "alpha"),
+        ({"window_end": "never"}, "window_end"),
+        ({"strict": 1}, "strict"),
+        ({"norm": ["l1"]}, "norm"),
+    ],
+)
+def test_config_file_wrong_type_exits_2(workspace, capsys, raw, key):
+    (workspace / "config.json").write_text(json.dumps(raw))
+    assert main(["rank", "--config", "config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file config.json: {key!r} must be ")
+
+
+def test_config_file_accepts_int_for_number_and_null_window_end(workspace):
+    (workspace / "config.json").write_text(json.dumps({"alpha": 1, "epsilon": 1, "window_end": None}))
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    assert main(["rank", "--config", "config.json"]) == 0
+    config = json.loads((workspace / "out" / "manifest.json").read_text())["stages"]["rank"]["config"]
+    assert (config["alpha"], config["epsilon"], config["window_end"]) == (1, 1, None)
+
+
+@pytest.mark.parametrize("content", ["{not json", "[]"])
+def test_corrupt_manifest_exits_2_naming_it(workspace, capsys, content):
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    (workspace / "out" / "manifest.json").write_text(content)
+    assert main(["rank"]) == 2
+    assert capsys.readouterr().err.startswith("error: out/manifest.json:1: ")
+
+
+def test_manifest_write_is_atomic(workspace, monkeypatch):
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    assert main(["rank"]) == 0
+    out = workspace / "out"
+    before = (out / "manifest.json").read_bytes()
+    names = {p.name for p in out.iterdir()}
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"stages": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    assert main(["report", "out/ranking_liquid.csv"]) == 1
+    assert (out / "manifest.json").read_bytes() == before
+    assert {p.name for p in out.iterdir()} == names | {"chart_liquid.txt"}
 
 
 def test_cli_pipeline_equals_direct_library_calls(workspace):

@@ -1,0 +1,47 @@
+"""The package imports only the stdlib; numpy loads inside the reputation
+loop alone, and nothing needs scipy. Each check runs in a fresh interpreter,
+since this test process has long since imported numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NO_SCIPY = "import sys; sys.modules['scipy'] = None; from liquidrank.cli import main; sys.exit(main())"
+
+
+def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    probe = (
+        "import sys, liquidrank, liquidrank.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rank", "--input", "pairs.csv"]])
+def test_cli_runs_without_scipy(tmp_path, argv):
+    (tmp_path / "pairs.csv").write_text(
+        "rater,ratee,timestamp\na,b,1\nb,c,2\nc,a,3\na,c,4\n", encoding="utf-8"
+    )
+    result = _python("-c", NO_SCIPY, *argv, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    if argv[0] == "rank":
+        assert (tmp_path / "out" / "ranking_liquid.csv").read_text().startswith("rank,node,score,method\n")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -238,6 +239,57 @@ def test_liquid_rank_epsilon_controls_stopping():
 def test_reputation_state_is_plain_data():
     state = ReputationState(scores={"a": 1.0}, iterations=3, final_delta=0.0, converged=True)
     assert state.scores["a"] == 1.0
+
+
+def _csr_liquid(counts, params):
+    """The damped loop driven by a scipy CSR operator, the way liquid_rank
+    computed it before its inflow kernel replaced the matrix."""
+    import numpy as np
+
+    sparse = pytest.importorskip("scipy.sparse")
+    nodes = sorted({node for pair in counts for node in pair})
+    index = {node: i for i, node in enumerate(nodes)}
+    total = sum(counts.values())
+    rows, cols, data = [], [], []
+    for (rater, ratee), weight in sorted(counts.items()):
+        rows.append(index[ratee])
+        cols.append(index[rater])
+        data.append(weight / total)
+    n = len(nodes)
+    inflow = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+    def norm(vec):
+        return float(vec.sum()) if params.norm_mode == "l1" else float(vec.max())
+
+    scores = np.full(n, 1.0 / n) if params.norm_mode == "l1" else np.ones(n)
+    iterations, delta = 0, math.inf
+    while iterations < params.max_iters:
+        update = inflow @ scores
+        blended = (1.0 - params.alpha) * scores + params.alpha * (update / norm(update))
+        new_scores = blended / norm(blended)
+        delta = float(np.max(np.abs(new_scores - scores)))
+        scores = new_scores
+        iterations += 1
+        if delta < params.epsilon:
+            break
+    return {node: float(scores[i]) for i, node in enumerate(nodes)}, iterations, delta
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("norm_mode", ["l1", "max"])
+def test_liquid_rank_equals_csr_product_bit_for_bit(seed, norm_mode):
+    rng = random.Random(seed)
+    n = rng.randint(50, 300)
+    counts = {}
+    while len(counts) < 6 * n:
+        rater, ratee = rng.randrange(n), rng.randrange(n)
+        if rater != ratee:
+            counts[(f"n{rater}", f"n{ratee}")] = rng.randint(1, 9)
+    params = RankParams(epsilon=1e-13, max_iters=300, alpha=rng.uniform(0.2, 0.9), norm_mode=norm_mode)
+    state = liquid_rank(from_edge_counts(counts), params)
+    scores, iterations, delta = _csr_liquid(counts, params)
+    assert state.scores == scores
+    assert (state.iterations, state.final_delta) == (iterations, delta)
 
 
 # --- ranked lists and the product method ---------------------------------
