@@ -252,33 +252,26 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _methods_for(method: str) -> list[str]:
-    if method == "all":
-        return [METHOD_MENTIONS, METHOD_LIQUID, METHOD_PRODUCT]
-    return [method]
-
-
 def cmd_rank(config: RunConfig, method: str = "all") -> int:
     """Compute the requested rankings from the interaction CSV."""
     start = time.perf_counter()
     out_dir = Path(config.out_dir)
     input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
     with _reading(input_path):
-        records = ingest_mod.read_interactions_csv(input_path)
+        columns = ingest_mod.read_interaction_columns(input_path)
 
     window = config.window()
     params = config.rank_params()
-    graph = build_graph(records, window)
+    graph = build_graph(columns, window)
 
-    wanted = _methods_for(method)
+    wanted = [METHOD_MENTIONS, METHOD_LIQUID, METHOD_PRODUCT] if method == "all" else [method]
     need_liquid = METHOD_LIQUID in wanted or METHOD_PRODUCT in wanted
     need_mentions = METHOD_MENTIONS in wanted or METHOD_PRODUCT in wanted
 
     rankings: dict[str, RankedList] = {}
     state = None
     if need_mentions:
-        mentions = mention_rank(graph)
-        rankings[METHOD_MENTIONS] = mentions
+        rankings[METHOD_MENTIONS] = mention_rank(graph)
     if need_liquid:
         state = liquid_rank(graph, params)
         if not state.converged:
@@ -307,7 +300,7 @@ def cmd_rank(config: RunConfig, method: str = "all") -> int:
     manifest["stages"]["rank"] = {
         "config": config.echo(),
         "input_digest": _sha256_digest(input_path),
-        "record_count": len(records),
+        "record_count": len(columns.raters),
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
     }

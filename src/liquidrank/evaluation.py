@@ -9,13 +9,14 @@ sequence of relevance booleans down the ranking.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import EmptyInput, EmptyRanking, FormatError
+from .ingest import read_csv_rows, write_csv_rows
 from .rank import RankedList
 
 VALID_GRADES = (0, 1, 2)
@@ -59,32 +60,21 @@ def _check_nonempty(ranked: RankedList) -> None:
         raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
 
 
-def _relevance_flags(ranked: RankedList, judgments: JudgmentSet) -> list[bool]:
-    return [judgments.is_relevant(e.node) for e in ranked.entries]
+def _relevance_flags(ranked: RankedList, judgments: JudgmentSet) -> Iterator[bool]:
+    """Relevance of each entry down the ranking, judged only as far as read."""
+    return (judgments.is_relevant(e.node) for e in ranked.entries)
 
 
-def precision_at_k(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
-    """Fraction of the first min(k, N) entries that are relevant."""
+def _top_flags(ranked: RankedList, judgments: JudgmentSet, k: int) -> tuple[list[bool], Iterator[bool]]:
+    """Relevance of the first min(k, N) entries, and of the rest as read."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_nonempty(ranked)
-    cutoff = min(k, len(ranked.entries))
-    hits = sum(_relevance_flags(ranked, judgments)[:cutoff])
-    return hits / cutoff
+    flags = _relevance_flags(ranked, judgments)
+    return list(islice(flags, k)), flags
 
 
-def average_precision(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
-    """Mean of precision-at-r over the relevant ranks r within the cutoff.
-
-    Normalized by the number of relevant entries inside the cutoff, so a
-    cutoff list with relevance packed at the top scores 1.0; returns 0 when
-    nothing inside the cutoff is relevant.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_nonempty(ranked)
-    cutoff = min(k, len(ranked.entries))
-    flags = _relevance_flags(ranked, judgments)[:cutoff]
+def _average_precision(flags: list[bool]) -> float:
     hits = 0
     total = 0.0
     for rank, relevant in enumerate(flags, start=1):
@@ -96,13 +86,34 @@ def average_precision(ranked: RankedList, judgments: JudgmentSet, k: int) -> flo
     return total / hits
 
 
-def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
-    """1/r for the first relevant rank r; 0 when nothing is relevant."""
-    _check_nonempty(ranked)
-    for rank, relevant in enumerate(_relevance_flags(ranked, judgments), start=1):
+def _reciprocal_rank(flags: Iterable[bool]) -> float:
+    for rank, relevant in enumerate(flags, start=1):
         if relevant:
             return 1.0 / rank
     return 0.0
+
+
+def precision_at_k(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
+    """Fraction of the first min(k, N) entries that are relevant."""
+    top, _ = _top_flags(ranked, judgments, k)
+    return sum(top) / len(top)
+
+
+def average_precision(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
+    """Mean of precision-at-r over the relevant ranks r within the cutoff.
+
+    Normalized by the number of relevant entries inside the cutoff, so a
+    cutoff list with relevance packed at the top scores 1.0; returns 0 when
+    nothing inside the cutoff is relevant.
+    """
+    top, _ = _top_flags(ranked, judgments, k)
+    return _average_precision(top)
+
+
+def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
+    """1/r for the first relevant rank r; 0 when nothing is relevant."""
+    _check_nonempty(ranked)
+    return _reciprocal_rank(_relevance_flags(ranked, judgments))
 
 
 def mean_reciprocal_rank(rankings: Iterable[RankedList], judgments: JudgmentSet) -> float:
@@ -113,18 +124,19 @@ def mean_reciprocal_rank(rankings: Iterable[RankedList], judgments: JudgmentSet)
 
 
 def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport:
-    """Bundle all three metrics plus relevance counts into one report."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_nonempty(ranked)
-    cutoff = min(k, len(ranked.entries))
-    found = sum(_relevance_flags(ranked, judgments)[:cutoff])
+    """Bundle all three metrics plus relevance counts into one report.
+
+    The relevance flags are judged once: the first min(k, N) for the cutoff
+    metrics, and past the cutoff only as far as the first relevant entry.
+    """
+    top, rest = _top_flags(ranked, judgments, k)
+    found = sum(top)
     return MetricReport(
         method=ranked.method,
         k=k,
-        precision=precision_at_k(ranked, judgments, k),
-        average_precision=average_precision(ranked, judgments, k),
-        reciprocal_rank=reciprocal_rank(ranked, judgments),
+        precision=found / len(top),
+        average_precision=_average_precision(top),
+        reciprocal_rank=_reciprocal_rank(chain(top, rest)),
         relevant_found=found,
         relevant_total=judgments.relevant_total(),
     )
@@ -135,24 +147,9 @@ def read_judgments_csv(
     relevance_threshold: int = 2,
 ) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    reader = csv.reader(lines)
-    rows = iter(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        return JudgmentSet(grades={}, relevance_threshold=relevance_threshold)
-    if header != JUDGMENT_CSV_HEADER:
-        raise FormatError(1, f"expected header {','.join(JUDGMENT_CSV_HEADER)!r}, got {','.join(header)!r}")
+    reader = read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER)
     grades: dict[str, int] = {}
-    for row in rows:
+    for row in reader or ():
         line_no = reader.line_num
         if len(row) != 2:
             raise FormatError(line_no, f"expected 2 columns, got {len(row)}")
@@ -170,11 +167,7 @@ def read_judgments_csv(
 
 
 def write_judgments_csv(judgments: JudgmentSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JUDGMENT_CSV_HEADER)
-        for node in sorted(judgments.grades):
-            writer.writerow([node, judgments.grades[node]])
+    write_csv_rows(path, JUDGMENT_CSV_HEADER, ([node, judgments.grades[node]] for node in sorted(judgments.grades)))
 
 
 def report_to_dict(report: MetricReport) -> dict:

@@ -1,23 +1,25 @@
 """Aggregate interaction records into a weighted directed rating graph.
 
 Edge weight = number of times rater i mentioned ratee j inside the time
-window. The graph is the sparse home of those counts; it stays immutable
-after construction so rankings can share it freely.
+window. The graph keeps its nodes in a sorted table and its edges in three
+integer arrays (rater id, ratee id, weight) ordered by (rater id, ratee id),
+where an id is a position in the node table. It stays immutable after
+construction so rankings can share it freely.
+
+numpy is imported when a graph is built, not when the module is imported.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import FormatError, UnknownNode
-from .ingest import InteractionRecord, valid_handle
+from .errors import UnknownNode
+from .ingest import InteractionColumns, InteractionRecord
 
-GRAPH_CSV_HEADER = ["rater", "ratee", "weight"]
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,18 +48,28 @@ class TimeWindow:
 UNBOUNDED = TimeWindow()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingGraph:
     """Weighted directed mention graph over a time window.
 
     ``nodes`` is lexicographically sorted; that ordering anchors every
-    deterministic downstream artifact. Absent edge means weight 0; stored
-    edges always have weight >= 1 and never form self-loops.
+    deterministic downstream artifact. Edge k runs from node ``raters[k]``
+    to node ``ratees[k]`` (positions in ``nodes``) with weight
+    ``weights[k]``; the three int64 arrays are ordered by (rater id, ratee
+    id), which is also (rater, ratee) order. Absent edge means weight 0;
+    stored edges always have weight >= 1 and never form self-loops.
     """
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
+    raters: np.ndarray
+    ratees: np.ndarray
+    weights: np.ndarray
     window: TimeWindow = field(default=UNBOUNDED)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatingGraph):
+            return NotImplemented
+        return (self.nodes, self.window, self.sorted_edges()) == (other.nodes, other.window, other.sorted_edges())
 
     @property
     def node_count(self) -> int:
@@ -65,32 +77,68 @@ class RatingGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
+
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """(rater, ratee) -> weight, built from the arrays on each access."""
+        return {(i, j): w for i, j, w in self.sorted_edges()}
 
     def total_weight(self) -> int:
-        return sum(self.edges.values())
+        return int(self.weights.sum())
 
     def sorted_edges(self) -> list[tuple[str, str, int]]:
         """Edges as (rater, ratee, weight) sorted by (rater, ratee)."""
-        return [(i, j, w) for (i, j), w in sorted(self.edges.items())]
+        nodes = self.nodes
+        return [
+            (nodes[i], nodes[j], w)
+            for i, j, w in zip(self.raters.tolist(), self.ratees.tolist(), self.weights.tolist())
+        ]
 
 
-def build_graph(records: Iterable[InteractionRecord], window: TimeWindow = UNBOUNDED) -> RatingGraph:
+def _rating_graph(handles: list[str], raters, ratees, weights, window: TimeWindow) -> RatingGraph:
+    """Relabel edges over ``handles`` to the sorted table of the handles they
+    use and order them by (rater id, ratee id). With weights=None, repeated
+    (rater, ratee) pairs are counted; otherwise every pair is distinct."""
+    import numpy as np
+
+    used = np.zeros(len(handles), dtype=bool)
+    used[raters] = used[ratees] = True
+    order = sorted(np.flatnonzero(used).tolist(), key=handles.__getitem__)
+    n = len(order)
+    relabel = np.zeros(len(handles), dtype=np.int64)
+    relabel[order] = np.arange(n)
+    keys = relabel[raters] * n + relabel[ratees]
+    if weights is None:
+        keys, weights = np.unique(keys, return_counts=True)
+    else:
+        by_key = np.argsort(keys)
+        keys, weights = keys[by_key], weights[by_key]
+    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1)), weights.astype(np.int64), window)
+
+
+def build_graph(
+    records: Iterable[InteractionRecord] | InteractionColumns,
+    window: TimeWindow = UNBOUNDED,
+) -> RatingGraph:
     """Count mentions per (rater, ratee) pair among records inside the window.
 
     The node set is every identifier appearing as rater or ratee in a
     retained record; pure raters are kept (they supply reputation even with
     zero inflow). Record order does not matter.
     """
-    counts: Counter[tuple[str, str]] = Counter()
-    nodes: set[str] = set()
-    for rec in records:
-        if not window.contains(rec.timestamp):
-            continue
-        counts[(rec.rater, rec.ratee)] += 1
-        nodes.add(rec.rater)
-        nodes.add(rec.ratee)
-    return RatingGraph(nodes=tuple(sorted(nodes)), edges=dict(counts), window=window)
+    import numpy as np
+
+    if not isinstance(records, InteractionColumns):
+        ids: dict[str, int] = {}
+        rows = [(ids.setdefault(r.rater, len(ids)), ids.setdefault(r.ratee, len(ids)), r.timestamp) for r in records]
+        records = InteractionColumns(list(ids), *(zip(*rows) if rows else ([], [], [])))
+    handles, raters, ratees, stamps = records
+    # Python ints compare exactly with any int or float window bound.
+    stamps = np.array(stamps, dtype=object)
+    kept = (stamps >= window.start) & (stamps < window.end)
+    raters, ratees = np.array(raters, dtype=np.int64)[kept], np.array(ratees, dtype=np.int64)[kept]
+    return _rating_graph(handles, raters, ratees, None, window)
 
 
 def from_edge_counts(
@@ -102,79 +150,30 @@ def from_edge_counts(
     Equivalent to build_graph on a record stream that repeats each pair
     ``weight`` times inside the window.
     """
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
+    import numpy as np
+
+    ids: dict[str, int] = {}
+    edges = []
     for (rater, ratee), weight in counts.items():
         if rater == ratee:
             raise ValueError(f"self-loop edge {rater!r} is not allowed")
         if weight < 1:
             raise ValueError(f"edge weight must be >= 1, got {weight} for {(rater, ratee)}")
-        edges[(rater, ratee)] = int(weight)
-        nodes.add(rater)
-        nodes.add(ratee)
-    return RatingGraph(nodes=tuple(sorted(nodes)), edges=edges, window=window)
+        edges.append((ids.setdefault(rater, len(ids)), ids.setdefault(ratee, len(ids)), weight))
+    raters, ratees, weights = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return _rating_graph(list(ids), raters, ratees, weights, window)
 
 
 def in_weight(graph: RatingGraph, node: str) -> int:
     """Total mention count flowing into ``node`` (the raw popularity signal)."""
     if node not in graph.nodes:
         raise UnknownNode(node)
-    return sum(w for (_, ratee), w in graph.edges.items() if ratee == node)
+    return in_weights(graph)[node]
 
 
 def in_weights(graph: RatingGraph) -> dict[str, int]:
     """Inflow totals for every node at once; pure raters get 0."""
-    totals = dict.fromkeys(graph.nodes, 0)
-    for (_, ratee), w in graph.edges.items():
-        totals[ratee] += w
-    return totals
+    import numpy as np
 
-
-def write_graph_csv(graph: RatingGraph, path: str | Path) -> None:
-    """Snapshot the edge counts, rows sorted by (rater, ratee)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GRAPH_CSV_HEADER)
-        for rater, ratee, weight in graph.sorted_edges():
-            writer.writerow([rater, ratee, weight])
-
-
-def read_graph_csv(source: str | Path | IO, window: TimeWindow = UNBOUNDED) -> RatingGraph:
-    """Load a graph snapshot. The snapshot stores no window, so the caller
-    supplies the one the counts were aggregated over (default unbounded)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    reader = csv.reader(lines)
-    rows = iter(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        return RatingGraph(nodes=(), edges={}, window=window)
-    if header != GRAPH_CSV_HEADER:
-        raise FormatError(1, f"expected header {','.join(GRAPH_CSV_HEADER)!r}, got {','.join(header)!r}")
-    counts: dict[tuple[str, str], int] = {}
-    for row in rows:
-        line_no = reader.line_num
-        if len(row) != 3:
-            raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
-        rater, ratee, raw_w = row
-        if not valid_handle(rater) or not valid_handle(ratee):
-            raise FormatError(line_no, f"invalid handle in edge {rater!r} -> {ratee!r}")
-        if rater == ratee:
-            raise FormatError(line_no, f"self-loop edge {rater!r}")
-        try:
-            weight = int(raw_w)
-        except ValueError:
-            raise FormatError(line_no, f"weight {raw_w!r} is not an integer") from None
-        if weight < 1:
-            raise FormatError(line_no, f"weight must be >= 1, got {weight}")
-        if (rater, ratee) in counts:
-            raise FormatError(line_no, f"duplicate edge {rater!r} -> {ratee!r}")
-        counts[(rater, ratee)] = weight
-    return from_edge_counts(counts, window)
+    totals = np.bincount(graph.ratees, graph.weights, graph.node_count).astype(np.int64)
+    return dict(zip(graph.nodes, totals.tolist()))

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import FormatError
 
@@ -111,8 +111,29 @@ def _text_of(source: str | bytes | Path | IO) -> str:
     return data
 
 
-def _text_lines(source: str | bytes | Path | IO) -> list[str]:
-    return _text_of(source).splitlines()
+def read_csv_rows(source: str | bytes | Path | IO, header: list[str], *, quoted_newlines: bool = False):
+    """A csv reader over the rows after ``header``, or None for empty input.
+
+    ``source`` is a path, the text itself (str or bytes) or an open file.
+    The reader gets the text split into lines, or with ``quoted_newlines``
+    the raw text, so that quoted fields may span lines. Raises FormatError
+    at line 1 when the first row is not ``header``; the reader's
+    ``line_num`` gives each later row's line number.
+    """
+    text = _text_of(source)
+    reader = csv.reader(io.StringIO(text, newline="") if quoted_newlines else text.splitlines())
+    first = next(reader, None)
+    if first is not None and first != header:
+        raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
+    return None if first is None else reader
+
+
+def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV, one row per line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def parse_tweets(
@@ -132,9 +153,9 @@ def parse_tweets(
     the result.
     """
     if fmt == "jsonl":
-        return _parse_jsonl(_text_lines(source), strict=strict)
+        return _parse_jsonl(_text_of(source).splitlines(), strict=strict)
     if fmt == "csv":
-        return _parse_csv(_text_of(source), strict=strict)
+        return _parse_csv(source, strict=strict)
     raise ValueError(f"unknown tweet format {fmt!r} (expected 'jsonl' or 'csv')")
 
 
@@ -160,19 +181,12 @@ def _parse_jsonl(lines: Iterable[str], *, strict: bool) -> ParseResult:
     return result
 
 
-def _parse_csv(text: str, *, strict: bool) -> ParseResult:
-    # The reader gets the raw text (not split lines) so quoted fields may
-    # span physical lines; tweet text is the one field that can hold them.
+def _parse_csv(source: str | bytes | Path | IO, *, strict: bool) -> ParseResult:
+    # Tweet text is the one field that may hold newlines inside its quotes.
+    # An empty file has zero tweets, as an empty jsonl file has.
     result = ParseResult()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = iter(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        return result  # empty file: zero tweets, same as empty jsonl
-    if header != TWEET_CSV_HEADER:
-        raise FormatError(1, f"expected header {','.join(TWEET_CSV_HEADER)!r}, got {','.join(header)!r}")
-    for row in rows:
+    reader = read_csv_rows(source, TWEET_CSV_HEADER, quoted_newlines=True)
+    for row in reader or ():
         line_no = reader.line_num
         try:
             if len(row) != 3:
@@ -215,52 +229,63 @@ def write_tweets_jsonl(tweets: Iterable[TweetRecord], path: str | Path) -> None:
 
 
 def write_tweets_csv(tweets: Iterable[TweetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TWEET_CSV_HEADER)
-        for t in tweets:
-            writer.writerow([t.author, t.text, t.timestamp])
+    write_csv_rows(path, TWEET_CSV_HEADER, ([t.author, t.text, t.timestamp] for t in tweets))
 
 
 def write_interactions_csv(records: Iterable[InteractionRecord], path: str | Path) -> None:
     """Canonical interaction CSV: header ``rater,ratee,timestamp``, rows in
     the deterministic order produced by to_interactions."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INTERACTION_CSV_HEADER)
-        for r in records:
-            writer.writerow([r.rater, r.ratee, r.timestamp])
+    write_csv_rows(path, INTERACTION_CSV_HEADER, ([r.rater, r.ratee, r.timestamp] for r in records))
 
 
-def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:
-    """Load a canonical interaction CSV. Always strict: this is our own format."""
-    lines = _text_lines(source)
-    reader = csv.reader(lines)
-    rows = iter(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        return []
-    if header != INTERACTION_CSV_HEADER:
-        raise FormatError(1, f"expected header {','.join(INTERACTION_CSV_HEADER)!r}, got {','.join(header)!r}")
-    records = []
-    for row in rows:
-        line_no = reader.line_num
+class InteractionColumns(NamedTuple):
+    """Interaction rows as parallel columns: ``raters[k]`` and ``ratees[k]``
+    index ``handles``, which lists each handle once in order of first sight,
+    and ``timestamps[k]`` is row k's time."""
+
+    handles: list[str]
+    raters: list[int]
+    ratees: list[int]
+    timestamps: list[int]
+
+
+def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColumns:
+    """Load a canonical interaction CSV into columns in one pass. Always
+    strict: this is our own format. A handle is checked once, at its first
+    occurrence; every other check runs on every row."""
+    columns = InteractionColumns([], [], [], [])
+    handles, raters, ratees, stamps = columns
+    ids: dict[str, int] = {}
+    reader = read_csv_rows(source, INTERACTION_CSV_HEADER)
+
+    def intern(handle: str, role: str) -> int:
+        if not valid_handle(handle):
+            raise FormatError(reader.line_num, f"{role} {handle!r} is not a valid handle")
+        ids[handle] = len(handles)
+        handles.append(handle)
+        return ids[handle]
+
+    for row in reader or ():
         if len(row) != 3:
-            raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
+            raise FormatError(reader.line_num, f"expected 3 columns, got {len(row)}")
         rater, ratee, raw_ts = row
-        if not valid_handle(rater):
-            raise FormatError(line_no, f"rater {rater!r} is not a valid handle")
-        if not valid_handle(ratee):
-            raise FormatError(line_no, f"ratee {ratee!r} is not a valid handle")
-        if rater == ratee:
-            raise FormatError(line_no, "rater and ratee must differ")
+        i = ids[rater] if rater in ids else intern(rater, "rater")
+        j = ids[ratee] if ratee in ids else intern(ratee, "ratee")
+        if i == j:
+            raise FormatError(reader.line_num, "rater and ratee must differ")
         try:
             ts = int(raw_ts)
         except ValueError:
-            raise FormatError(line_no, f"timestamp {raw_ts!r} is not an integer") from None
+            raise FormatError(reader.line_num, f"timestamp {raw_ts!r} is not an integer") from None
         if ts < 0:
-            raise FormatError(line_no, "timestamp must be >= 0")
-        records.append(InteractionRecord(rater, ratee, ts))
-    return records
+            raise FormatError(reader.line_num, "timestamp must be >= 0")
+        raters.append(i)
+        ratees.append(j)
+        stamps.append(ts)
+    return columns
 
+
+def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:
+    """Load a canonical interaction CSV as records: a view of its columns."""
+    handles, raters, ratees, stamps = read_interaction_columns(source)
+    return [InteractionRecord(handles[i], handles[j], ts) for i, j, ts in zip(raters, ratees, stamps)]

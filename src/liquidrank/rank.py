@@ -21,27 +21,28 @@ exactly the normalized dominant eigenvectors of the inflow matrix, for any
 alpha. Nodes nobody mentions lose reputation geometrically at rate
 (1 - alpha) per cycle, which is what demotes spam raters and their targets.
 
-The inflow U is computed without a matrix: edges are numbered by the
-position of their endpoints in the sorted node table and ordered by
-(rater, ratee) id, and each cycle is one ``np.bincount`` over the ratee ids
-weighted by T_ij * R_i. Every node's inflow is therefore summed in ascending
-rater order, the same order a CSR matrix-vector product uses.
+The inflow U is computed without a matrix, from the graph's own edge
+arrays, which are ordered by (rater id, ratee id): each cycle is one
+``np.bincount`` over the ratee ids weighted by T_ij * R_i. Every node's
+inflow is therefore summed in ascending rater order, the same order a CSR
+matrix-vector product uses. Rankings are stable argsorts of -score over the
+sorted node table.
 
-numpy is imported inside the reputation loop only, so importing the package
+numpy is imported inside the functions that rank, so importing the package
 (and starting the CLI for ingest, evaluate or report) loads the stdlib alone.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping, NamedTuple
+from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
 from .graph import RatingGraph, TimeWindow, in_weights
+from .ingest import read_csv_rows, write_csv_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,16 +121,29 @@ class RankedList:
 
 
 def ranked_list_from_scores(method: str, scores: Mapping[str, float]) -> RankedList:
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = tuple(RankEntry(node, float(score), rank) for rank, (node, score) in enumerate(ordered, start=1))
-    return RankedList(method=method, entries=entries)
+    nodes = sorted(scores)
+    return _ranked_list(method, nodes, [scores[node] for node in nodes])
+
+
+def _ranked_list(method: str, nodes: Sequence[str], scores: Sequence[float]) -> RankedList:
+    """Rank ``nodes``, which must be sorted, by their aligned ``scores``.
+
+    A stable argsort of -score over the sorted nodes breaks ties by node,
+    the same order as sorting on the key (-score, node).
+    """
+    import numpy as np
+
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ranked = [nodes[i] for i in order.tolist()]
+    return RankedList(method, tuple(map(RankEntry, ranked, scores[order].tolist(), range(1, len(ranked) + 1))))
 
 
 def mention_rank(graph: RatingGraph) -> RankedList:
     """Rank nodes by raw inbound mention count."""
     if graph.node_count == 0:
         raise EmptyGraph("mention ranking needs at least one node")
-    return ranked_list_from_scores(METHOD_MENTIONS, {n: float(w) for n, w in in_weights(graph).items()})
+    return _ranked_list(METHOD_MENTIONS, graph.nodes, list(in_weights(graph).values()))
 
 
 def _norm(vec: np.ndarray, mode: str) -> float:
@@ -159,21 +173,10 @@ def _initial_vector(
 
 
 def _inflow_edges(graph: RatingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges as (rater ids, ratee ids, T_ij), ordered by (rater id, ratee id).
-
-    An id is the node's position in the sorted ``graph.nodes``. Weights are
-    pre-divided by the total so the operator, and with it the whole iterate
-    sequence, is untouched by any uniform rescaling of the edge counts.
-    """
-    import numpy as np
-
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    m = graph.edge_count
-    raters = np.fromiter((index[rater] for rater, _ in graph.edges), dtype=np.intp, count=m)
-    ratees = np.fromiter((index[ratee] for _, ratee in graph.edges), dtype=np.intp, count=m)
-    weights = np.fromiter(graph.edges.values(), dtype=np.float64, count=m)
-    order = np.argsort(raters * graph.node_count + ratees, kind="stable")
-    return raters[order], ratees[order], weights[order] / graph.total_weight()
+    """Edges as (rater ids, ratee ids, T_ij): the graph's own id arrays, and
+    weights pre-divided by the total so that no uniform rescaling of the
+    edge counts moves the operator or the iterate sequence."""
+    return graph.raters, graph.ratees, graph.weights / graph.total_weight()
 
 
 def liquid_rank(
@@ -216,7 +219,7 @@ def liquid_rank(
             break
 
     return ReputationState(
-        scores={node: float(scores[i]) for i, node in enumerate(graph.nodes)},
+        scores=dict(zip(graph.nodes, scores.tolist())),
         iterations=iterations,
         final_delta=delta,
         converged=delta < params.epsilon,
@@ -229,16 +232,17 @@ def to_ranked_list(state: ReputationState) -> RankedList:
 
 def product_rank(mentions: RankedList, liquid: RankedList) -> RankedList:
     """Combine both signals: normalized mention share times reputation score."""
-    mention_nodes = mentions.node_set()
-    liquid_nodes = liquid.node_set()
-    if mention_nodes != liquid_nodes:
-        raise NodeSetMismatch(mention_nodes - liquid_nodes, liquid_nodes - mention_nodes)
+    import numpy as np
+
+    inflow = {e.node: e.score for e in mentions.entries}
+    reputation = {e.node: e.score for e in liquid.entries}
+    if inflow.keys() != reputation.keys():
+        raise NodeSetMismatch(inflow.keys() - reputation.keys(), reputation.keys() - inflow.keys())
     total = sum(e.score for e in mentions.entries)
-    shares = {e.node: (e.score / total if total > 0 else 0.0) for e in mentions.entries}
-    liquid_scores = {e.node: e.score for e in liquid.entries}
-    return ranked_list_from_scores(
-        METHOD_PRODUCT, {node: shares[node] * liquid_scores[node] for node in shares}
-    )
+    nodes = sorted(inflow)
+    shares = np.array([inflow[node] for node in nodes], dtype=np.float64)
+    shares = shares / total if total > 0 else np.zeros(len(nodes))
+    return _ranked_list(METHOD_PRODUCT, nodes, shares * np.array([reputation[node] for node in nodes]))
 
 
 def top_k(ranked: RankedList, k: int) -> RankedList:
@@ -254,33 +258,17 @@ def format_score(score: float) -> str:
 
 
 def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RANKING_CSV_HEADER)
-        for entry in ranked.entries:
-            writer.writerow([entry.rank, entry.node, format_score(entry.score), ranked.method])
+    rows = ([e.rank, e.node, format_score(e.score), ranked.method] for e in ranked.entries)
+    write_csv_rows(path, RANKING_CSV_HEADER, rows)
 
 
 def read_ranking_csv(source: str | Path | IO) -> RankedList:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    reader = csv.reader(lines)
-    rows = iter(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise FormatError(1, "missing ranking CSV header") from None
-    if header != RANKING_CSV_HEADER:
-        raise FormatError(1, f"expected header {','.join(RANKING_CSV_HEADER)!r}, got {','.join(header)!r}")
+    reader = read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER)
+    if reader is None:
+        raise FormatError(1, "missing ranking CSV header")
     entries: list[RankEntry] = []
     method = ""
-    for row in rows:
+    for row in reader:
         line_no = reader.line_num
         if len(row) != 4:
             raise FormatError(line_no, f"expected 4 columns, got {len(row)}")

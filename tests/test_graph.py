@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from liquidrank.errors import FormatError, UnknownNode
+from liquidrank.errors import UnknownNode
 from liquidrank.graph import (
     UNBOUNDED,
     RatingGraph,
@@ -11,8 +11,6 @@ from liquidrank.graph import (
     from_edge_counts,
     in_weight,
     in_weights,
-    read_graph_csv,
-    write_graph_csv,
 )
 from liquidrank.ingest import InteractionRecord
 
@@ -112,51 +110,6 @@ def test_in_weight_unknown_node():
 def test_in_weights_agrees_with_in_weight():
     graph = from_edge_counts({("a", "b"): 2, ("c", "b"): 5, ("b", "a"): 1})
     assert in_weights(graph) == {n: in_weight(graph, n) for n in graph.nodes}
-
-
-def test_graph_csv_roundtrip(tmp_path):
-    graph = from_edge_counts({("a", "b"): 2, ("b", "a"): 1}, TimeWindow(start=5, end=50))
-    path = tmp_path / "graph.csv"
-    write_graph_csv(graph, path)
-    assert path.read_bytes() == b"rater,ratee,weight\na,b,2\nb,a,1\n"
-    loaded = read_graph_csv(path, TimeWindow(start=5, end=50))
-    assert loaded == graph
-
-
-def test_read_graph_csv_defaults_to_unbounded_window(tmp_path):
-    path = tmp_path / "graph.csv"
-    write_graph_csv(from_edge_counts({("a", "b"): 1}), path)
-    assert read_graph_csv(path).window == UNBOUNDED
-
-
-@pytest.mark.parametrize(
-    "row,reason_part",
-    [
-        ("a,a,1", "self-loop"),
-        ("a,b,0", ">= 1"),
-        ("a,b,x", "not an integer"),
-        ("A,b,1", "invalid handle"),
-        ("a,b,1,9", "3 columns"),
-    ],
-)
-def test_read_graph_csv_rejects_bad_rows(row, reason_part):
-    import io
-
-    text = f"rater,ratee,weight\n{row}\n"
-    with pytest.raises(FormatError) as exc_info:
-        read_graph_csv(io.StringIO(text))
-    assert exc_info.value.line == 2
-    assert reason_part in exc_info.value.reason
-
-
-def test_read_graph_csv_rejects_duplicate_edge():
-    import io
-
-    text = "rater,ratee,weight\na,b,1\na,b,2\n"
-    with pytest.raises(FormatError) as exc_info:
-        read_graph_csv(io.StringIO(text))
-    assert exc_info.value.line == 3
-    assert "duplicate" in exc_info.value.reason
 
 
 def test_graph_is_immutable():

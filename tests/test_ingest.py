@@ -267,6 +267,14 @@ def test_read_interactions_csv_rejects_bad_rows(row, reason_part):
     assert reason_part in exc_info.value.reason
 
 
+def test_read_interactions_csv_fails_at_first_bad_handle():
+    text = "rater,ratee,timestamp\nalice,bob,1\nalice,Bad,2\ncarol,bob,3\nBad,alice,4\n"
+    with pytest.raises(FormatError) as exc_info:
+        read_interactions_csv(text)
+    assert exc_info.value.line == 3
+    assert exc_info.value.reason == "ratee 'Bad' is not a valid handle"
+
+
 def test_read_interactions_csv_header_check():
     with pytest.raises(FormatError):
         read_interactions_csv("a,b,c\n")

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracle import dense_liquid, two_node_fixed_point
@@ -30,6 +31,12 @@ from liquidrank.rank import (
 )
 
 TWO_CYCLE = {("a", "b"): 1, ("b", "a"): 3}
+
+
+def edgeless(*nodes):
+    """A graph with these nodes and no edges, which no graph builder makes."""
+    no_edges = np.zeros(0, dtype=np.int64)
+    return RatingGraph(nodes=nodes, raters=no_edges, ratees=no_edges, weights=no_edges)
 
 
 # --- parameters ---------------------------------------------------------
@@ -77,11 +84,11 @@ def test_mention_rank_scores_and_tiebreak():
 
 def test_mention_rank_empty_graph():
     with pytest.raises(EmptyGraph):
-        mention_rank(RatingGraph(nodes=(), edges={}))
+        mention_rank(edgeless())
 
 
 def test_mention_rank_edgeless_nodes_score_zero():
-    graph = RatingGraph(nodes=("a", "b"), edges={})
+    graph = edgeless("a", "b")
     ranked = mention_rank(graph)
     assert [e.score for e in ranked.entries] == [0.0, 0.0]
 
@@ -133,9 +140,9 @@ def test_liquid_rank_norm_modes_agree_on_ordering():
 
 def test_liquid_rank_requires_an_edge():
     with pytest.raises(EmptyGraph):
-        liquid_rank(RatingGraph(nodes=("a",), edges={}))
+        liquid_rank(edgeless("a"))
     with pytest.raises(EmptyGraph):
-        liquid_rank(RatingGraph(nodes=(), edges={}))
+        liquid_rank(edgeless())
 
 
 def test_liquid_rank_undamped_two_cycle_oscillates():
