@@ -13,24 +13,27 @@ is the one table that maps exceptions onto them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Iterator
 
 from . import ingest as ingest_mod
 from .errors import DegenerateUpdate, EmptyGraph, EmptyInput, EmptyRanking, FormatError, NodeSetMismatch
 from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
+from .ingest import POST_FORMATS
 from .rank import (
     METHOD_LIQUID,
     METHOD_MENTIONS,
     METHOD_PRODUCT,
+    NORM_MODES,
     RankedList,
     RankParams,
     format_score,
@@ -82,19 +85,11 @@ _CONFIG_KEYS = {
     "strict": "boolean",
 }
 
-
-def _json_type(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return "array" if isinstance(value, list) else "object"
+# The JSON type of each Python type that json.loads returns.
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "array", dict: "object",
+}
 
 
 @dataclass
@@ -105,10 +100,10 @@ class RunConfig:
     format: str | None = None
     window_start: int = 0
     window_end: float = math.inf
-    epsilon: float = 0.0001
-    max_iters: int = 1000
-    alpha: float = 0.5
-    norm: str = "l1"
+    epsilon: float = RankParams.epsilon
+    max_iters: int = RankParams.max_iters
+    alpha: float = RankParams.alpha
+    norm: str = RankParams.norm_mode
     k: int = 50
     out_dir: str = "out"
     strict: bool = False
@@ -118,8 +113,8 @@ class RunConfig:
         self.window()
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.format is not None and self.format not in ("jsonl", "csv"):
-            raise ValueError(f"format must be jsonl or csv, got {self.format!r}")
+        if self.format is not None and self.format not in POST_FORMATS:
+            raise ValueError(f"format must be {' or '.join(POST_FORMATS)}, got {self.format!r}")
 
     def rank_params(self) -> RankParams:
         return RankParams(
@@ -134,7 +129,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         data = asdict(self)
-        if math.isinf(data["window_end"]):
+        # Compared, not math.isinf: an integer end past float range is finite.
+        if data["window_end"] == math.inf:
             data["window_end"] = None
         return data
 
@@ -152,7 +148,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config file {path}: unknown key {key!r}")
             expected = _CONFIG_KEYS[key]
-            found = _json_type(value)
+            found = _JSON_TYPES[type(value)]
             accepted = expected.split(" or ")
             if found not in accepted and not (found == "integer" and "number" in accepted):
                 raise ValueError(
@@ -178,6 +174,8 @@ def _reading(path: str | Path):
         raise FormatError(exc.line, exc.reason, source=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"invalid JSON ({exc.msg})", source=str(path)) from exc
+    except RecursionError:  # json, on a value nested past the recursion limit
+        raise FormatError(1, "invalid JSON (nested too deeply)", source=str(path)) from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -196,30 +194,35 @@ def _load_manifest(out_dir: Path) -> dict:
     else:
         manifest = {}
     manifest["schema_version"] = MANIFEST_SCHEMA_VERSION
-    manifest.setdefault("stages", {})
-    manifest.setdefault("outputs", {})
-    manifest.setdefault("timings_ms", {})
+    for section in ("stages", "outputs", "timings_ms"):
+        manifest.setdefault(section, {})
     return manifest
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    """Write a temporary file beside the manifest, then rename it over the
-    manifest, so a run that dies mid-write leaves the previous one intact."""
-    temp = out_dir / f".{MANIFEST_NAME}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(temp, out_dir / MANIFEST_NAME)
-    finally:
-        temp.unlink(missing_ok=True)
+def _stage(command):
+    """Run ``command(config, manifest, ...)`` as the stage named after it
+    (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
+    write its artifacts and fill the manifest in, then record the command's
+    wall time and write the manifest, only if the command succeeded."""
+    name = command.__name__.removeprefix("cmd_")
+
+    @functools.wraps(command)
+    def run(config: RunConfig, *args, **kwargs) -> int:
+        start = time.perf_counter()
+        manifest = _load_manifest(Path(config.out_dir))
+        command(config, manifest, *args, **kwargs)
+        manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
+        ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
+        return EXIT_OK
+
+    return run
 
 
-def cmd_ingest(config: RunConfig) -> int:
+@_stage
+def cmd_ingest(config: RunConfig, manifest: dict) -> None:
     """Parse the raw dataset and write the canonical interaction CSV."""
     if not config.input:
         raise ValueError("ingest needs --input")
-    start = time.perf_counter()
     input_path = Path(config.input)
     fmt = config.format
     if fmt is None:
@@ -228,15 +231,12 @@ def cmd_ingest(config: RunConfig) -> int:
         result = ingest_mod.parse_tweets(input_path, fmt, strict=config.strict)
     records = ingest_mod.to_interactions(result.tweets)
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    interactions_path = out_dir / "interactions.csv"
+    interactions_path = Path(config.out_dir) / "interactions.csv"
     ingest_mod.write_interactions_csv(records, interactions_path)
 
     for bad in result.malformed:
         print(f"warning: {input_path}:{bad.line}: skipped ({bad.reason})", file=sys.stderr)
 
-    manifest = _load_manifest(out_dir)
     manifest["stages"]["ingest"] = {
         "config": config.echo(),
         "input_digest": _sha256_digest(input_path),
@@ -245,16 +245,12 @@ def cmd_ingest(config: RunConfig) -> int:
         "malformed_count": len(result.malformed),
     }
     manifest["outputs"]["interactions"] = str(interactions_path)
-    manifest["timings_ms"]["ingest"] = round((time.perf_counter() - start) * 1000, 3)
-    _write_manifest(out_dir, manifest)
-
     print(f"wrote {interactions_path} ({len(records)} interactions from {len(result.tweets)} tweets)")
-    return EXIT_OK
 
 
-def cmd_rank(config: RunConfig, method: str = "all") -> int:
+@_stage
+def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
     """Compute the requested rankings from the interaction CSV."""
-    start = time.perf_counter()
     out_dir = Path(config.out_dir)
     input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
     with _reading(input_path):
@@ -284,8 +280,6 @@ def cmd_rank(config: RunConfig, method: str = "all") -> int:
     if METHOD_PRODUCT in wanted:
         rankings[METHOD_PRODUCT] = product_rank(rankings[METHOD_MENTIONS], rankings[METHOD_LIQUID])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(out_dir)
     for name in wanted:
         path = out_dir / f"ranking_{name}.csv"
         write_ranking_csv(rankings[name], path)
@@ -304,9 +298,6 @@ def cmd_rank(config: RunConfig, method: str = "all") -> int:
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
     }
-    manifest["timings_ms"]["rank"] = round((time.perf_counter() - start) * 1000, 3)
-    _write_manifest(out_dir, manifest)
-    return EXIT_OK
 
 
 def _report_table(reports: list) -> str:
@@ -320,49 +311,45 @@ def _report_table(reports: list) -> str:
     return "\n".join(lines)
 
 
-def _unique_name(base: str, used: set[str]) -> str:
-    name = base
-    counter = 2
-    while name in used:
-        name = f"{base}_{counter}"
-        counter += 1
-    used.add(name)
-    return name
+def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, RankedList]]:
+    """Read each ranking CSV, named by its method (else its file stem) with
+    a _2, _3, ... suffix where the name is already taken."""
+    used: set[str] = set()
+    for path in ranking_paths:
+        with _reading(path):
+            ranked = read_ranking_csv(path)
+        base = name = ranked.method or Path(path).stem
+        counter = 2
+        while name in used:
+            name = f"{base}_{counter}"
+            counter += 1
+        used.add(name)
+        yield name, path, ranked
 
 
-def cmd_evaluate(config: RunConfig, ranking_paths: list[str], judgments_path: str) -> int:
+@_stage
+def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> None:
     """Score each ranking against the judgments; print a comparison table."""
-    start = time.perf_counter()
     with _reading(judgments_path):
         judgments = read_judgments_csv(judgments_path)
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(out_dir)
     reports = []
-    used_names: set[str] = set()
-    for ranking_path in ranking_paths:
-        with _reading(ranking_path):
-            ranked = read_ranking_csv(ranking_path)
+    for name, ranking_path, ranked in _named_rankings(ranking_paths):
         try:
             report = evaluate(ranked, judgments, config.k)
         except EmptyRanking as exc:
             raise EmptyRanking(f"{ranking_path}: {exc}") from exc
         reports.append(report)
-        name = _unique_name(report.method or Path(ranking_path).stem, used_names)
-        report_path = out_dir / f"report_{name}.json"
+        report_path = Path(config.out_dir) / f"report_{name}.json"
         write_report_json(report, report_path)
         manifest["outputs"][f"report_{name}"] = str(report_path)
 
     print(_report_table(reports))
-    manifest["timings_ms"]["evaluate"] = round((time.perf_counter() - start) * 1000, 3)
-    _write_manifest(out_dir, manifest)
-    return EXIT_OK
 
 
 def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
     """Horizontal bar chart in plain text, widths proportional to score."""
-    rows = top_k(ranked, k).entries if ranked.entries else ()
+    rows = top_k(ranked, k).entries
     name = title or ranked.method or "ranking"
     lines = [f"{name}: top {len(rows)} of {len(ranked.entries)}"]
     if rows:
@@ -377,7 +364,7 @@ def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> st
 
 def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
     """Self-contained SVG bar chart; no rendering dependencies."""
-    rows = top_k(ranked, k).entries if ranked.entries else ()
+    rows = top_k(ranked, k).entries
     name = title or ranked.method or "ranking"
     bar_h, gap, label_w, chart_w, value_w = 16, 6, 170, 400, 120
     width = label_w + chart_w + value_w + 30
@@ -398,27 +385,16 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     return "\n".join(parts) + "\n"
 
 
-def cmd_report(config: RunConfig, ranking_paths: list[str], fmt: str = "txt") -> int:
+@_stage
+def cmd_report(config: RunConfig, manifest: dict, ranking_paths: list[str], fmt: str = "txt") -> None:
     """Emit a bar-chart file per ranking CSV."""
-    start = time.perf_counter()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(out_dir)
     render = render_txt_chart if fmt == "txt" else render_svg_chart
-    used_names: set[str] = set()
-    for ranking_path in ranking_paths:
-        with _reading(ranking_path):
-            ranked = read_ranking_csv(ranking_path)
-        name = _unique_name(ranked.method or Path(ranking_path).stem, used_names)
-        chart = render(ranked, config.k, title=name)
-        chart_path = out_dir / f"chart_{name}.{fmt}"
-        with open(chart_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(chart)
+    for name, _, ranked in _named_rankings(ranking_paths):
+        chart_path = Path(config.out_dir) / f"chart_{name}.{fmt}"
+        with ingest_mod.write_atomic(chart_path) as fh:
+            fh.write(render(ranked, config.k, title=name))
         manifest["outputs"][f"chart_{name}"] = str(chart_path)
         print(f"wrote {chart_path}")
-    manifest["timings_ms"]["report"] = round((time.perf_counter() - start) * 1000, 3)
-    _write_manifest(out_dir, manifest)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,13 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; explicit flags win over file values")
-        p.add_argument("--out-dir", dest="out_dir", help="directory for stage artifacts (default: out)")
-        p.add_argument("--k", type=int, help="ranking cutoff (default: 50)")
+        p.add_argument(
+            "--out-dir", dest="out_dir", help=f"directory for stage artifacts (default: {RunConfig.out_dir})"
+        )
+        p.add_argument("--k", type=int, help=f"ranking cutoff (default: {RunConfig.k})")
 
     p_ingest = sub.add_parser("ingest", help="parse a tweet dataset into interactions.csv")
     add_shared(p_ingest)
     p_ingest.add_argument("--input", help="path to the raw dataset")
-    p_ingest.add_argument("--format", choices=["jsonl", "csv"], help="input format (default: by file suffix)")
+    p_ingest.add_argument("--format", choices=POST_FORMATS, help="input format (default: by file suffix)")
     p_ingest.add_argument(
         "--strict",
         action=argparse.BooleanOptionalAction,
@@ -455,10 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rank.add_argument("--window-start", dest="window_start", type=int, help="window start, epoch seconds (inclusive)")
     p_rank.add_argument("--window-end", dest="window_end", type=float, help="window end, epoch seconds (exclusive)")
-    p_rank.add_argument("--epsilon", type=float, help="convergence threshold (default: 0.0001)")
-    p_rank.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap (default: 1000)")
-    p_rank.add_argument("--alpha", type=float, help="damping blend in (0, 1] (default: 0.5)")
-    p_rank.add_argument("--norm", choices=["l1", "max"], help="per-cycle normalization (default: l1)")
+    p_rank.add_argument("--epsilon", type=float, help=f"convergence threshold (default: {RunConfig.epsilon})")
+    p_rank.add_argument(
+        "--max-iters", dest="max_iters", type=int, help=f"iteration cap (default: {RunConfig.max_iters})"
+    )
+    p_rank.add_argument("--alpha", type=float, help=f"damping blend in (0, 1] (default: {RunConfig.alpha})")
+    p_rank.add_argument("--norm", choices=NORM_MODES, help=f"per-cycle normalization (default: {RunConfig.norm})")
 
     p_eval = sub.add_parser("evaluate", help="score rankings against graded judgments")
     add_shared(p_eval)
@@ -476,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
         if args.command == "ingest":
@@ -486,13 +465,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_rank(config, method=args.method)
         if args.command == "evaluate":
             return cmd_evaluate(config, args.rankings, args.judgments)
-        if args.command == "report":
-            return cmd_report(config, args.rankings, fmt=args.chart_format or "txt")
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_report(config, args.rankings, fmt=args.chart_format or "txt")
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -19,10 +19,6 @@ class FormatError(Exception):
         super().__init__(f"{where}: {reason}")
 
 
-class UnknownNode(Exception):
-    """Node id not present in the graph."""
-
-
 class EmptyGraph(Exception):
     """Ranking requested on a graph without the required nodes/edges."""
 

@@ -9,14 +9,13 @@ sequence of relevance booleans down the ranking.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import EmptyInput, EmptyRanking, FormatError
-from .ingest import read_csv_rows, write_csv_rows
+from .ingest import read_csv_rows, write_csv_rows, write_json
 from .rank import RankedList
 
 VALID_GRADES = (0, 1, 2)
@@ -147,10 +146,9 @@ def read_judgments_csv(
     relevance_threshold: int = 2,
 ) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
-    reader = read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER)
+    rows = read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER)
     grades: dict[str, int] = {}
-    for row in reader or ():
-        line_no = reader.line_num
+    for line_no, row in rows or ():
         if len(row) != 2:
             raise FormatError(line_no, f"expected 2 columns, got {len(row)}")
         node, raw_grade = row
@@ -170,19 +168,5 @@ def write_judgments_csv(judgments: JudgmentSet, path: str | Path) -> None:
     write_csv_rows(path, JUDGMENT_CSV_HEADER, ([node, judgments.grades[node]] for node in sorted(judgments.grades)))
 
 
-def report_to_dict(report: MetricReport) -> dict:
-    return {
-        "method": report.method,
-        "k": report.k,
-        "precision": report.precision,
-        "average_precision": report.average_precision,
-        "reciprocal_rank": report.reciprocal_rank,
-        "relevant_found": report.relevant_found,
-        "relevant_total": report.relevant_total,
-    }
-
-
 def write_report_json(report: MetricReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(report))

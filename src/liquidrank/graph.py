@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import UnknownNode
 from .ingest import InteractionColumns, InteractionRecord
 
 if TYPE_CHECKING:
@@ -39,10 +38,6 @@ class TimeWindow:
 
     def contains(self, timestamp: int) -> bool:
         return self.start <= timestamp < self.end
-
-    @property
-    def unbounded(self) -> bool:
-        return self.start == 0 and math.isinf(self.end)
 
 
 UNBOUNDED = TimeWindow()
@@ -164,15 +159,8 @@ def from_edge_counts(
     return _rating_graph(list(ids), raters, ratees, weights, window)
 
 
-def in_weight(graph: RatingGraph, node: str) -> int:
-    """Total mention count flowing into ``node`` (the raw popularity signal)."""
-    if node not in graph.nodes:
-        raise UnknownNode(node)
-    return in_weights(graph)[node]
-
-
 def in_weights(graph: RatingGraph) -> dict[str, int]:
-    """Inflow totals for every node at once; pure raters get 0."""
+    """Inflow totals for every node (the raw popularity signal); pure raters get 0."""
     import numpy as np
 
     totals = np.bincount(graph.ratees, graph.weights, graph.node_count).astype(np.int64)

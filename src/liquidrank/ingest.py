@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
 
@@ -27,6 +29,8 @@ from .errors import FormatError
 MENTION_RE = re.compile(r"(?<![A-Za-z0-9_@])@([A-Za-z0-9_]{1,15})")
 
 HANDLE_RE = re.compile(r"[a-z0-9_]{1,15}\Z")
+
+POST_FORMATS = ("jsonl", "csv")
 
 TWEET_CSV_HEADER = ["author", "text", "timestamp"]
 INTERACTION_CSV_HEADER = ["rater", "ratee", "timestamp"]
@@ -101,36 +105,74 @@ def _coerce_tweet(author: object, text: object, timestamp: object) -> TweetRecor
 def _text_of(source: str | bytes | Path | IO) -> str:
     if isinstance(source, Path):
         return source.read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def read_csv_rows(source: str | bytes | Path | IO, header: list[str], *, quoted_newlines: bool = False):
-    """A csv reader over the rows after ``header``, or None for empty input.
+def read_csv_rows(
+    source: str | bytes | Path | IO,
+    header: list[str],
+    *,
+    quoted_newlines: bool = False,
+    malformed: list[MalformedLine] | None = None,
+) -> Iterator[tuple[int, list[str]]] | None:
+    """The rows after ``header`` as (line number, fields), or None for empty input.
 
     ``source`` is a path, the text itself (str or bytes) or an open file.
     The reader gets the text split into lines, or with ``quoted_newlines``
     the raw text, so that quoted fields may span lines. Raises FormatError
-    at line 1 when the first row is not ``header``; the reader's
-    ``line_num`` gives each later row's line number.
+    at line 1 when the first row is not ``header``. A row the csv module
+    cannot read (say, a field over its size limit) raises FormatError at its
+    line, or, given a ``malformed`` list, is tallied there and skipped, and
+    reading goes on at the next line.
     """
     text = _text_of(source)
     reader = csv.reader(io.StringIO(text, newline="") if quoted_newlines else text.splitlines())
-    first = next(reader, None)
-    if first is not None and first != header:
-        raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
-    return None if first is None else reader
+    first = next(_numbered_rows(reader, None), None)
+    if first is not None and first[1] != header:
+        raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
+    return None if first is None else _numbered_rows(reader, malformed)
+
+
+def _numbered_rows(reader, malformed: list[MalformedLine] | None) -> Iterator[tuple[int, list[str]]]:
+    while True:
+        try:
+            for row in reader:
+                yield reader.line_num, row
+            return
+        except csv.Error as exc:  # the reader goes on at the next line
+            if malformed is None:
+                raise FormatError(reader.line_num, str(exc)) from None
+            malformed.append(MalformedLine(reader.line_num, str(exc)))
+
+
+@contextmanager
+def write_atomic(path: str | Path) -> Iterator[IO[str]]:
+    """Write UTF-8 text, line endings as given, to a temporary file beside
+    ``path`` (making its directory if missing) and rename it over ``path`` on
+    a clean exit: a run that dies mid-write leaves the previous bytes and no
+    temporary file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """Write ``obj`` as JSON, indented with sorted keys, plus a newline."""
+    with write_atomic(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write ``header`` and then ``rows`` as UTF-8 CSV, one row per line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -156,7 +198,7 @@ def parse_tweets(
         return _parse_jsonl(_text_of(source).splitlines(), strict=strict)
     if fmt == "csv":
         return _parse_csv(source, strict=strict)
-    raise ValueError(f"unknown tweet format {fmt!r} (expected 'jsonl' or 'csv')")
+    raise ValueError(f"unknown tweet format {fmt!r} (expected {' or '.join(map(repr, POST_FORMATS))})")
 
 
 def _parse_jsonl(lines: Iterable[str], *, strict: bool) -> ParseResult:
@@ -172,7 +214,8 @@ def _parse_jsonl(lines: Iterable[str], *, strict: bool) -> ParseResult:
             if missing:
                 raise ValueError(f"missing field(s): {', '.join(missing)}")
             tweet = _coerce_tweet(obj["author"], obj["text"], obj["timestamp"])
-        except (json.JSONDecodeError, ValueError) as exc:
+        # json raises RecursionError on a value nested past the recursion limit.
+        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
             if strict:
                 raise FormatError(line_no, str(exc)) from exc
             result.malformed.append(MalformedLine(line_no, str(exc)))
@@ -185,9 +228,9 @@ def _parse_csv(source: str | bytes | Path | IO, *, strict: bool) -> ParseResult:
     # Tweet text is the one field that may hold newlines inside its quotes.
     # An empty file has zero tweets, as an empty jsonl file has.
     result = ParseResult()
-    reader = read_csv_rows(source, TWEET_CSV_HEADER, quoted_newlines=True)
-    for row in reader or ():
-        line_no = reader.line_num
+    skipped = None if strict else result.malformed
+    rows = read_csv_rows(source, TWEET_CSV_HEADER, quoted_newlines=True, malformed=skipped)
+    for line_no, row in rows or ():
         try:
             if len(row) != 3:
                 raise ValueError(f"expected 3 columns, got {len(row)}")
@@ -222,7 +265,7 @@ def to_interactions(tweets: Iterable[TweetRecord]) -> list[InteractionRecord]:
 
 
 def write_tweets_jsonl(tweets: Iterable[TweetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with write_atomic(path) as fh:
         for t in tweets:
             fh.write(json.dumps({"author": t.author, "text": t.text, "timestamp": t.timestamp}))
             fh.write("\n")
@@ -256,29 +299,28 @@ def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColu
     columns = InteractionColumns([], [], [], [])
     handles, raters, ratees, stamps = columns
     ids: dict[str, int] = {}
-    reader = read_csv_rows(source, INTERACTION_CSV_HEADER)
 
-    def intern(handle: str, role: str) -> int:
+    def intern(handle: str, role: str, line_no: int) -> int:
         if not valid_handle(handle):
-            raise FormatError(reader.line_num, f"{role} {handle!r} is not a valid handle")
+            raise FormatError(line_no, f"{role} {handle!r} is not a valid handle")
         ids[handle] = len(handles)
         handles.append(handle)
         return ids[handle]
 
-    for row in reader or ():
+    for line_no, row in read_csv_rows(source, INTERACTION_CSV_HEADER) or ():
         if len(row) != 3:
-            raise FormatError(reader.line_num, f"expected 3 columns, got {len(row)}")
+            raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
         rater, ratee, raw_ts = row
-        i = ids[rater] if rater in ids else intern(rater, "rater")
-        j = ids[ratee] if ratee in ids else intern(ratee, "ratee")
+        i = ids[rater] if rater in ids else intern(rater, "rater", line_no)
+        j = ids[ratee] if ratee in ids else intern(ratee, "ratee", line_no)
         if i == j:
-            raise FormatError(reader.line_num, "rater and ratee must differ")
+            raise FormatError(line_no, "rater and ratee must differ")
         try:
             ts = int(raw_ts)
         except ValueError:
-            raise FormatError(reader.line_num, f"timestamp {raw_ts!r} is not an integer") from None
+            raise FormatError(line_no, f"timestamp {raw_ts!r} is not an integer") from None
         if ts < 0:
-            raise FormatError(reader.line_num, "timestamp must be >= 0")
+            raise FormatError(line_no, "timestamp must be >= 0")
         raters.append(i)
         ratees.append(j)
         stamps.append(ts)

@@ -34,15 +34,14 @@ numpy is imported inside the functions that rank, so importing the package
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
 from .graph import RatingGraph, TimeWindow, in_weights
-from .ingest import read_csv_rows, write_csv_rows
+from .ingest import read_csv_rows, write_csv_rows, write_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +60,7 @@ class RankParams:
     """Convergence knobs for the reputation loop.
 
     epsilon is the negligible-change threshold on the max componentwise
-    score change per cycle; iteration stops below it (default 0.0001).
+    score change per cycle; iteration stops below it.
     """
 
     epsilon: float = 0.0001
@@ -109,15 +108,6 @@ class RankedList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def node_set(self) -> frozenset[str]:
-        return frozenset(e.node for e in self.entries)
-
-    def score_of(self, node: str) -> float:
-        for e in self.entries:
-            if e.node == node:
-                return e.score
-        raise KeyError(node)
 
 
 def ranked_list_from_scores(method: str, scores: Mapping[str, float]) -> RankedList:
@@ -172,13 +162,6 @@ def _initial_vector(
     return vec / total
 
 
-def _inflow_edges(graph: RatingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges as (rater ids, ratee ids, T_ij): the graph's own id arrays, and
-    weights pre-divided by the total so that no uniform rescaling of the
-    edge counts moves the operator or the iterate sequence."""
-    return graph.raters, graph.ratees, graph.weights / graph.total_weight()
-
-
 def liquid_rank(
     graph: RatingGraph,
     params: RankParams = RankParams(),
@@ -198,7 +181,10 @@ def liquid_rank(
     mode = params.norm_mode
     alpha = params.alpha
     n = graph.node_count
-    raters, ratees, flow = _inflow_edges(graph)
+    raters, ratees = graph.raters, graph.ratees
+    # T_ij: weights pre-divided by the total, so that no uniform rescaling
+    # of the edge counts moves the operator or the iterate sequence.
+    flow = graph.weights / graph.total_weight()
     scores = _initial_vector(graph, mode, initial)
 
     iterations = 0
@@ -263,13 +249,12 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
 
 
 def read_ranking_csv(source: str | Path | IO) -> RankedList:
-    reader = read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER)
-    if reader is None:
+    rows = read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER)
+    if rows is None:
         raise FormatError(1, "missing ranking CSV header")
     entries: list[RankEntry] = []
     method = ""
-    for row in reader:
-        line_no = reader.line_num
+    for line_no, row in rows:
         if len(row) != 4:
             raise FormatError(line_no, f"expected 4 columns, got {len(row)}")
         raw_rank, node, raw_score, row_method = row
@@ -287,19 +272,12 @@ def read_ranking_csv(source: str | Path | IO) -> RankedList:
     return RankedList(method=method, entries=tuple(entries))
 
 
-def _window_json(window: TimeWindow) -> dict:
-    return {"start": window.start, "end": None if math.isinf(window.end) else window.end}
-
-
 def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams) -> dict:
+    # Compared, not math.isinf: an integer end past float range is finite.
+    end = None if window.end == math.inf else window.end
     return {
-        "window": _window_json(window),
-        "params": {
-            "epsilon": params.epsilon,
-            "max_iters": params.max_iters,
-            "alpha": params.alpha,
-            "norm_mode": params.norm_mode,
-        },
+        "window": {"start": window.start, "end": end},
+        "params": asdict(params),
         "iterations": state.iterations,
         "final_delta": state.final_delta,
         "converged": state.converged,
@@ -310,6 +288,4 @@ def reputation_snapshot(state: ReputationState, window: TimeWindow, params: Rank
 def write_reputation_json(
     state: ReputationState, window: TimeWindow, params: RankParams, path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(reputation_snapshot(state, window, params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, reputation_snapshot(state, window, params))

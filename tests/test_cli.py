@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from liquidrank import cli
-from liquidrank.cli import main
+from liquidrank import cli, ingest, rank
+from liquidrank.cli import RunConfig, main
 from liquidrank.errors import EmptyInput, NodeSetMismatch
-from liquidrank.rank import read_ranking_csv
+from liquidrank.rank import RankParams, read_ranking_csv
 
 TWEETS = "\n".join(
     [
@@ -356,6 +356,72 @@ def test_config_file_accepts_int_for_number_and_null_window_end(workspace):
     assert (config["alpha"], config["epsilon"], config["window_end"]) == (1, 1, None)
 
 
+# Nested past the interpreter's recursion limit, so json raises RecursionError.
+DEEP_JSON = "[" * 200_000
+# One more character than the csv module's default field size limit.
+HUGE_FIELD = "x" * 131_073
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_ingest_deeply_nested_line_is_malformed(workspace, capsys, strict):
+    (workspace / "deep.jsonl").write_text(TWEETS.splitlines()[0] + "\n" + DEEP_JSON + "\n")
+    code = main(["ingest", "--input", "deep.jsonl", *(["--strict"] if strict else [])])
+    err = capsys.readouterr().err
+    if strict:
+        assert code == 2 and err.startswith("error: deep.jsonl:2: ")
+    else:
+        assert code == 0 and err.startswith("warning: deep.jsonl:2: skipped")
+        assert (workspace / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\nalice,bob,100\n"
+
+
+@pytest.mark.parametrize("name", ["config.json", "out/manifest.json"])
+def test_deeply_nested_config_or_manifest_exits_2(workspace, capsys, name):
+    (workspace / "out").mkdir()
+    (workspace / name).write_text(DEEP_JSON)
+    argv = ["ingest", "--input", "tweets.jsonl"] + (["--config", name] if name == "config.json" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {name}:1: invalid JSON (nested too deeply)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["rank", "--input", "big.csv"], f"rater,ratee,timestamp\na,b,1\na,{HUGE_FIELD},2\n"),
+        (["evaluate", "ranking.csv", "--judgments", "big.csv"], f"node,grade\na,2\n{HUGE_FIELD},1\n"),
+        (["report", "big.csv"], f"rank,node,score,method\n1,a,1,m\n2,{HUGE_FIELD},0,m\n"),
+        (["ingest", "--input", "big.csv", "--strict"], f'author,text,timestamp\na,x,1\nb,"{HUGE_FIELD}",2\n'),
+    ],
+    ids=["interactions", "judgments", "ranking", "posts"],
+)
+def test_oversized_csv_field_exits_2_naming_line(workspace, capsys, argv, text):
+    (workspace / "ranking.csv").write_text("rank,node,score,method\n1,alice,1,liquid\n")
+    (workspace / "big.csv").write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: big.csv:3: field larger than field limit (131072)\n"
+    assert not (workspace / "out").exists()
+
+
+def test_lenient_tweet_csv_skips_oversized_field(workspace, capsys):
+    (workspace / "big.csv").write_text(f'author,text,timestamp\na,"{HUGE_FIELD} @c",1\nb,"hi @a",2\n')
+    assert main(["ingest", "--input", "big.csv"]) == 0
+    assert capsys.readouterr().err == "warning: big.csv:2: skipped (field larger than field limit (131072))\n"
+    assert (workspace / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\nb,a,2\n"
+
+
+def test_config_window_end_past_float_range_is_kept_exact(workspace):
+    (workspace / "config.json").write_text('{"window_end": 1' + "0" * 400 + "}")
+    assert main(["ingest", "--input", "tweets.jsonl", "--config", "config.json"]) == 0
+    assert main(["rank", "--config", "config.json"]) == 0
+    reputation = json.loads((workspace / "out" / "reputation.json").read_text())
+    assert reputation["window"] == {"start": 0, "end": 10**400}
+    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["rank"]["config"]["window_end"] == 10**400
+
+
+def test_run_config_defaults_are_rank_params_defaults():
+    assert RunConfig().rank_params() == RankParams()
+
+
 @pytest.mark.parametrize("content", ["{not json", "[]"])
 def test_corrupt_manifest_exits_2_naming_it(workspace, capsys, content):
     assert main(["ingest", "--input", "tweets.jsonl"]) == 0
@@ -375,10 +441,55 @@ def test_manifest_write_is_atomic(workspace, monkeypatch):
         fh.write('{"stages": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    # The report stage writes its chart, then fails half-way through writing
+    # the manifest (every JSON file is written by ingest.write_json).
+    monkeypatch.setattr(ingest.json, "dump", dump_then_fail)
     assert main(["report", "out/ranking_liquid.csv"]) == 1
     assert (out / "manifest.json").read_bytes() == before
     assert {p.name for p in out.iterdir()} == names | {"chart_liquid.txt"}
+
+
+def _ranked_out_dir(workspace):
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    assert main(["rank"]) == 0
+    out = workspace / "out"
+    return out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_failed_ranking_csv_write_keeps_previous_bytes(workspace, monkeypatch):
+    out, before = _ranked_out_dir(workspace)
+    real_format_score = rank.format_score
+    rows = []
+
+    def format_then_fail(score):
+        rows.append(score)
+        if len(rows) == 2:
+            raise OSError("disk full")
+        return real_format_score(score)
+
+    # ranking_mentions.csv is the first artifact rank writes; it fails at its
+    # second row, which leaves every file as it was and no temporary file.
+    monkeypatch.setattr(rank, "format_score", format_then_fail)
+    assert main(["rank"]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatch):
+    out, before = _ranked_out_dir(workspace)
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"scores": ')
+        raise OSError("disk full")
+
+    # reputation.json is written after the three ranking CSVs, which this
+    # alpha changes, and before the manifest.
+    monkeypatch.setattr(ingest.json, "dump", dump_then_fail)
+    assert main(["rank", "--alpha", "0.9"]) == 1
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert after["ranking_liquid.csv"] != before["ranking_liquid.csv"]
+    assert after["reputation.json"] == before["reputation.json"]
+    assert after["manifest.json"] == before["manifest.json"]
 
 
 def test_cli_pipeline_equals_direct_library_calls(workspace):

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from liquidrank.evaluation import (
     precision_at_k,
     read_judgments_csv,
     reciprocal_rank,
-    report_to_dict,
     write_judgments_csv,
     write_report_json,
 )
@@ -208,7 +208,7 @@ def test_report_json_shape(tmp_path):
     path = tmp_path / "report.json"
     write_report_json(report, path)
     data = json.loads(path.read_text())
-    assert data == report_to_dict(report)
+    assert data == asdict(report)
     assert set(data) == {
         "method",
         "k",

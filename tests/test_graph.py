@@ -2,14 +2,12 @@ import math
 
 import pytest
 
-from liquidrank.errors import UnknownNode
 from liquidrank.graph import (
     UNBOUNDED,
     RatingGraph,
     TimeWindow,
     build_graph,
     from_edge_counts,
-    in_weight,
     in_weights,
 )
 from liquidrank.ingest import InteractionRecord
@@ -67,8 +65,6 @@ def test_window_validation_and_contains():
         TimeWindow(start=9, end=2)
     assert UNBOUNDED.contains(0)
     assert UNBOUNDED.contains(10**12)
-    assert UNBOUNDED.unbounded
-    assert not TimeWindow(start=0, end=10).unbounded
     assert math.isinf(UNBOUNDED.end)
 
 
@@ -94,22 +90,9 @@ def test_sorted_edges_orders_by_rater_then_ratee():
     assert graph.sorted_edges() == [("a", "b", 3), ("a", "c", 2), ("b", "a", 1)]
 
 
-def test_in_weight_single_node():
+def test_in_weights_counts_inflow_per_node():
     graph = from_edge_counts({("a", "b"): 2, ("c", "b"): 5, ("b", "a"): 1})
-    assert in_weight(graph, "b") == 7
-    assert in_weight(graph, "a") == 1
-    assert in_weight(graph, "c") == 0
-
-
-def test_in_weight_unknown_node():
-    graph = from_edge_counts({("a", "b"): 1})
-    with pytest.raises(UnknownNode):
-        in_weight(graph, "ghost")
-
-
-def test_in_weights_agrees_with_in_weight():
-    graph = from_edge_counts({("a", "b"): 2, ("c", "b"): 5, ("b", "a"): 1})
-    assert in_weights(graph) == {n: in_weight(graph, n) for n in graph.nodes}
+    assert in_weights(graph) == {"a": 1, "b": 7, "c": 0}
 
 
 def test_graph_is_immutable():

@@ -306,11 +306,8 @@ def test_ranked_list_from_scores_sorts_and_ranks():
     ranked = ranked_list_from_scores("m", {"x": 0.2, "y": 0.5, "z": 0.2})
     assert [e.node for e in ranked.entries] == ["y", "x", "z"]
     assert [e.rank for e in ranked.entries] == [1, 2, 3]
+    assert [e.score for e in ranked.entries] == [0.5, 0.2, 0.2]
     assert len(ranked) == 3
-    assert ranked.node_set() == {"x", "y", "z"}
-    assert ranked.score_of("y") == 0.5
-    with pytest.raises(KeyError):
-        ranked.score_of("ghost")
 
 
 def test_product_rank_combines_share_and_reputation():
@@ -320,8 +317,7 @@ def test_product_rank_combines_share_and_reputation():
     assert product.method == METHOD_PRODUCT
     # shares: a=0.75, b=0.25; products: a=0.1875, b=0.1875 -> tie, lexicographic
     assert [e.node for e in product.entries] == ["a", "b"]
-    assert product.score_of("a") == pytest.approx(0.1875)
-    assert product.score_of("b") == pytest.approx(0.1875)
+    assert [e.score for e in product.entries] == pytest.approx([0.1875, 0.1875])
 
 
 def test_product_rank_node_set_mismatch():
