@@ -178,10 +178,18 @@ def _reading(path: str | Path):
         raise FormatError(1, "invalid JSON (nested too deeply)", source=str(path)) from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # say, an integer past Python's digit limit
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _sha256_digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    # Read in 256 KiB chunks, as hashlib.file_digest does: a chunk of 1 MiB
+    # raised a rank's peak RSS on a 0.5 MB file, more than reading it whole.
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def _load_manifest(out_dir: Path) -> dict:
@@ -228,24 +236,23 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> None:
     if fmt is None:
         fmt = "csv" if input_path.suffix == ".csv" else "jsonl"
     with _reading(input_path):
-        result = ingest_mod.parse_tweets(input_path, fmt, strict=config.strict)
-    records = ingest_mod.to_interactions(result.tweets)
+        columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
 
     interactions_path = Path(config.out_dir) / "interactions.csv"
-    ingest_mod.write_interactions_csv(records, interactions_path)
+    ingest_mod.write_interaction_columns(columns, interactions_path)
 
-    for bad in result.malformed:
+    for bad in malformed:
         print(f"warning: {input_path}:{bad.line}: skipped ({bad.reason})", file=sys.stderr)
 
     manifest["stages"]["ingest"] = {
         "config": config.echo(),
         "input_digest": _sha256_digest(input_path),
-        "tweet_count": len(result.tweets),
-        "record_count": len(records),
-        "malformed_count": len(result.malformed),
+        "tweet_count": posts,
+        "record_count": len(columns.raters),
+        "malformed_count": len(malformed),
     }
     manifest["outputs"]["interactions"] = str(interactions_path)
-    print(f"wrote {interactions_path} ({len(records)} interactions from {len(result.tweets)} tweets)")
+    print(f"wrote {interactions_path} ({len(columns.raters)} interactions from {posts} tweets)")
 
 
 @_stage

@@ -146,21 +146,21 @@ def read_judgments_csv(
     relevance_threshold: int = 2,
 ) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
-    rows = read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER)
     grades: dict[str, int] = {}
-    for line_no, row in rows or ():
-        if len(row) != 2:
-            raise FormatError(line_no, f"expected 2 columns, got {len(row)}")
-        node, raw_grade = row
-        if node in grades:
-            raise FormatError(line_no, f"duplicate judgment for node {node!r}")
-        try:
-            grade = int(raw_grade)
-        except ValueError:
-            raise FormatError(line_no, f"grade {raw_grade!r} is not an integer") from None
-        if grade not in VALID_GRADES:
-            raise FormatError(line_no, f"grade must be 0-2, got {grade}")
-        grades[node] = grade
+    with read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER) as rows:
+        for line_no, row in rows or ():
+            if len(row) != 2:
+                raise FormatError(line_no, f"expected 2 columns, got {len(row)}")
+            node, raw_grade = row
+            if node in grades:
+                raise FormatError(line_no, f"duplicate judgment for node {node!r}")
+            try:
+                grade = int(raw_grade)
+            except ValueError:
+                raise FormatError(line_no, f"grade {raw_grade!r} is not an integer") from None
+            if grade not in VALID_GRADES:
+                raise FormatError(line_no, f"grade must be 0-2, got {grade}")
+            grades[node] = grade
     return JudgmentSet(grades=grades, relevance_threshold=relevance_threshold)
 
 

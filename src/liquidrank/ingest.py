@@ -2,8 +2,8 @@
 
 A post ("tweet") by channel A whose text @-mentions channel B is read as an
 implicit positive rating of B by A. This module extracts those mention
-occurrences and emits one interaction record per occurrence; counting happens
-later, in the graph layer.
+occurrences and emits one interaction per occurrence, as records or, in one
+streaming pass, as columns; counting happens later, in the graph layer.
 
 Handles are case-insensitive on the source platform, so everything is
 lowercased here to avoid split identities.
@@ -34,6 +34,8 @@ POST_FORMATS = ("jsonl", "csv")
 
 TWEET_CSV_HEADER = ["author", "text", "timestamp"]
 INTERACTION_CSV_HEADER = ["rater", "ratee", "timestamp"]
+
+_scan_json = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def extract_mentions(text: str) -> list[str]:
 
     Duplicates are preserved; aggregation is the graph module's job.
     """
-    return [m.lower() for m in MENTION_RE.findall(text)]
+    return [m.lower() for m in MENTION_RE.findall(text)] if "@" in text else []
 
 
 def valid_handle(handle: str) -> bool:
@@ -86,52 +88,44 @@ def valid_handle(handle: str) -> bool:
     return bool(HANDLE_RE.match(handle))
 
 
-def _coerce_tweet(author: object, text: object, timestamp: object) -> TweetRecord:
-    """Validate one row's fields; raises ValueError with the reason."""
-    if not isinstance(author, str) or not author:
-        raise ValueError("author must be a non-empty string")
-    canonical = author.lower()
-    if not valid_handle(canonical):
-        raise ValueError(f"author {author!r} is not a valid handle")
-    if not isinstance(text, str):
-        raise ValueError("text must be a string")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-        raise ValueError("timestamp must be an integer")
-    if timestamp < 0:
-        raise ValueError("timestamp must be >= 0")
-    return TweetRecord(author=canonical, text=text, timestamp=timestamp)
-
-
-def _text_of(source: str | bytes | Path | IO) -> str:
+@contextmanager
+def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
+    """``source`` as UTF-8 lines with their endings: a path is read line by
+    line; the text itself (str or bytes) or an open file's whole content is
+    split in memory. Lines end only at "\n", "\r\n" or a lone "\r", never at
+    the other separators str.splitlines knows, such as U+2028, which JSON
+    allows inside strings."""
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+        with open(source, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        data = source if isinstance(source, (str, bytes)) else source.read()
+        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
 
 
+@contextmanager
 def read_csv_rows(
     source: str | bytes | Path | IO,
     header: list[str],
     *,
-    quoted_newlines: bool = False,
     malformed: list[MalformedLine] | None = None,
-) -> Iterator[tuple[int, list[str]]] | None:
-    """The rows after ``header`` as (line number, fields), or None for empty input.
+) -> Iterator[Iterator[tuple[int, list[str]]] | None]:
+    """The rows after ``header`` as (line number, fields), or None for empty
+    input, read as they are needed inside the ``with`` block.
 
-    ``source`` is a path, the text itself (str or bytes) or an open file.
-    The reader gets the text split into lines, or with ``quoted_newlines``
-    the raw text, so that quoted fields may span lines. Raises FormatError
-    at line 1 when the first row is not ``header``. A row the csv module
-    cannot read (say, a field over its size limit) raises FormatError at its
-    line, or, given a ``malformed`` list, is tallied there and skipped, and
-    reading goes on at the next line.
+    ``source`` is a path, the text itself (str or bytes) or an open file;
+    quoted fields may span lines. Raises FormatError at line 1 when the first
+    row is not ``header``. A row the csv module cannot read (say, a field
+    over its size limit) raises FormatError at its line, or, given a
+    ``malformed`` list, is tallied there and skipped, and reading goes on at
+    the next line.
     """
-    text = _text_of(source)
-    reader = csv.reader(io.StringIO(text, newline="") if quoted_newlines else text.splitlines())
-    first = next(_numbered_rows(reader, None), None)
-    if first is not None and first[1] != header:
-        raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
-    return None if first is None else _numbered_rows(reader, malformed)
+    with _text_lines(source) as lines:
+        reader = csv.reader(lines)
+        first = next(_numbered_rows(reader, None), None)
+        if first is not None and first[1] != header:
+            raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
+        yield None if first is None else _numbered_rows(reader, malformed)
 
 
 def _numbered_rows(reader, malformed: list[MalformedLine] | None) -> Iterator[tuple[int, list[str]]]:
@@ -178,6 +172,77 @@ def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]
         writer.writerows(rows)
 
 
+def _posts(
+    source: str | bytes | Path | IO, fmt: str, strict: bool, malformed: list[MalformedLine]
+) -> Iterator[tuple[str, str, int]]:
+    """Each valid post of ``source`` as (author handle, text, timestamp), read
+    line by line. A malformed line raises FormatError when ``strict``, else it
+    is tallied in ``malformed`` and skipped. A raw author is checked once, the
+    first time it is seen."""
+    if fmt == "jsonl":
+        opened, decode = _text_lines(source), _jsonl_fields
+    elif fmt == "csv":  # tweet text is the one field that may hold newlines inside its quotes
+        opened, decode = read_csv_rows(source, TWEET_CSV_HEADER, malformed=None if strict else malformed), _csv_fields
+    else:
+        raise ValueError(f"unknown tweet format {fmt!r} (expected {' or '.join(map(repr, POST_FORMATS))})")
+    authors: dict[str, str] = {}  # each raw author that passed, and its handle
+    with opened as rows:
+        # Blank jsonl lines are skipped; an empty csv file (None) has no rows.
+        rows = ((n, line) for n, line in enumerate(rows, start=1) if not line.isspace()) if fmt == "jsonl" else rows
+        for line_no, raw in rows or ():
+            try:
+                author, text, timestamp = decode(raw)
+                handle = authors.get(author) if isinstance(author, str) else None
+                if handle is None:
+                    if not isinstance(author, str) or not author:
+                        raise ValueError("author must be a non-empty string")
+                    handle = author.lower()
+                    if not valid_handle(handle):
+                        raise ValueError(f"author {author!r} is not a valid handle")
+                    authors[author] = handle
+                if not isinstance(text, str):
+                    raise ValueError("text must be a string")
+                if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+                    raise ValueError("timestamp must be an integer")
+                if timestamp < 0:
+                    raise ValueError("timestamp must be >= 0")
+            # json raises RecursionError on a value nested past the recursion limit.
+            except (ValueError, RecursionError) as exc:
+                if strict:
+                    raise FormatError(line_no, str(exc)) from exc
+                malformed.append(MalformedLine(line_no, str(exc)))
+                continue
+            yield handle, text, timestamp
+
+
+def _jsonl_fields(line: str) -> tuple[object, object, object]:
+    # json.loads' own scanner without its Python wrapping halves the cost of
+    # a line; anything but a bare value goes to json.loads for its result or
+    # its error message.
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end < 0 or line[end:].strip(" \t\r\n"):
+        obj = json.loads(line.rstrip("\r\n"))
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    try:
+        return obj["author"], obj["text"], obj["timestamp"]
+    except KeyError:
+        raise ValueError(f"missing field(s): {', '.join(k for k in TWEET_CSV_HEADER if k not in obj)}") from None
+
+
+def _csv_fields(row: list[str]) -> tuple[str, str, int]:
+    if len(row) != 3:
+        raise ValueError(f"expected 3 columns, got {len(row)}")
+    author, text, raw_ts = row
+    try:
+        return author, text, int(raw_ts)
+    except ValueError:
+        raise ValueError(f"timestamp {raw_ts!r} is not an integer") from None
+
+
 def parse_tweets(
     source: str | bytes | Path | IO,
     fmt: str = "jsonl",
@@ -187,66 +252,40 @@ def parse_tweets(
     """Parse a tweet dataset in ``jsonl`` or ``csv`` format.
 
     jsonl: one object per line with "author", "text", "timestamp" fields;
-    unknown fields are ignored. csv: header row exactly
-    ``author,text,timestamp``, RFC-4180 quoting, UTF-8.
+    unknown fields are ignored; lines end at "\n", "\r\n" or "\r". csv:
+    header row exactly ``author,text,timestamp``, RFC-4180 quoting, UTF-8.
 
     Raises FormatError (with line number) on the first malformed line when
     ``strict`` is true; otherwise malformed lines are skipped and tallied in
     the result.
     """
-    if fmt == "jsonl":
-        return _parse_jsonl(_text_of(source).splitlines(), strict=strict)
-    if fmt == "csv":
-        return _parse_csv(source, strict=strict)
-    raise ValueError(f"unknown tweet format {fmt!r} (expected {' or '.join(map(repr, POST_FORMATS))})")
-
-
-def _parse_jsonl(lines: Iterable[str], *, strict: bool) -> ParseResult:
     result = ParseResult()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            missing = [k for k in ("author", "text", "timestamp") if k not in obj]
-            if missing:
-                raise ValueError(f"missing field(s): {', '.join(missing)}")
-            tweet = _coerce_tweet(obj["author"], obj["text"], obj["timestamp"])
-        # json raises RecursionError on a value nested past the recursion limit.
-        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-            if strict:
-                raise FormatError(line_no, str(exc)) from exc
-            result.malformed.append(MalformedLine(line_no, str(exc)))
-            continue
-        result.tweets.append(tweet)
+    result.tweets = [TweetRecord(*post) for post in _posts(source, fmt, strict, result.malformed)]
     return result
 
 
-def _parse_csv(source: str | bytes | Path | IO, *, strict: bool) -> ParseResult:
-    # Tweet text is the one field that may hold newlines inside its quotes.
-    # An empty file has zero tweets, as an empty jsonl file has.
-    result = ParseResult()
-    skipped = None if strict else result.malformed
-    rows = read_csv_rows(source, TWEET_CSV_HEADER, quoted_newlines=True, malformed=skipped)
-    for line_no, row in rows or ():
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 columns, got {len(row)}")
-            author, text, raw_ts = row
-            try:
-                ts = int(raw_ts)
-            except ValueError:
-                raise ValueError(f"timestamp {raw_ts!r} is not an integer") from None
-            tweet = _coerce_tweet(author, text, ts)
-        except ValueError as exc:
-            if strict:
-                raise FormatError(line_no, str(exc)) from exc
-            result.malformed.append(MalformedLine(line_no, str(exc)))
-            continue
-        result.tweets.append(tweet)
-    return result
+def read_post_columns(
+    source: str | bytes | Path | IO, fmt: str = "jsonl", *, strict: bool = True
+) -> tuple[InteractionColumns, int, list[MalformedLine]]:
+    """Parse a post dataset as parse_tweets does, straight into the columns of
+    its interactions as to_interactions expands them, in one pass with no
+    per-post objects. Returns the columns, the count of valid posts and the
+    malformed lines skipped. Handles are in order of first sight, as
+    read_interaction_columns lists them."""
+    columns = InteractionColumns([], [], [], [])
+    handles, raters, ratees, stamps = columns
+    ids: dict[str, int] = {}
+    malformed: list[MalformedLine] = []
+    posts = 0
+    for author, text, timestamp in _posts(source, fmt, strict, malformed):
+        posts += 1
+        for ratee in extract_mentions(text):
+            if ratee != author:  # a channel must not rate itself
+                raters.append(ids.setdefault(author, len(ids)))
+                ratees.append(ids.setdefault(ratee, len(ids)))
+                stamps.append(timestamp)
+    handles.extend(ids)
+    return columns, posts, malformed
 
 
 def to_interactions(tweets: Iterable[TweetRecord]) -> list[InteractionRecord]:
@@ -255,13 +294,9 @@ def to_interactions(tweets: Iterable[TweetRecord]) -> list[InteractionRecord]:
     Self-mentions are dropped: a channel must not rate itself. Output order is
     input order, then mention order within each tweet.
     """
-    records = []
-    for tweet in tweets:
-        for mention in extract_mentions(tweet.text):
-            if mention == tweet.author:
-                continue
-            records.append(InteractionRecord(tweet.author, mention, tweet.timestamp))
-    return records
+    return [
+        InteractionRecord(t.author, m, t.timestamp) for t in tweets for m in extract_mentions(t.text) if m != t.author
+    ]
 
 
 def write_tweets_jsonl(tweets: Iterable[TweetRecord], path: str | Path) -> None:
@@ -275,10 +310,23 @@ def write_tweets_csv(tweets: Iterable[TweetRecord], path: str | Path) -> None:
     write_csv_rows(path, TWEET_CSV_HEADER, ([t.author, t.text, t.timestamp] for t in tweets))
 
 
+def write_interaction_columns(columns: InteractionColumns, path: str | Path) -> None:
+    """Canonical interaction CSV: header ``rater,ratee,timestamp``, then one
+    row per interaction, in column order."""
+    handles, raters, ratees, stamps = columns
+    _write_interaction_rows(zip(map(handles.__getitem__, raters), map(handles.__getitem__, ratees), stamps), path)
+
+
 def write_interactions_csv(records: Iterable[InteractionRecord], path: str | Path) -> None:
-    """Canonical interaction CSV: header ``rater,ratee,timestamp``, rows in
-    the deterministic order produced by to_interactions."""
-    write_csv_rows(path, INTERACTION_CSV_HEADER, ([r.rater, r.ratee, r.timestamp] for r in records))
+    """Canonical interaction CSV from records, in the order to_interactions
+    produces them."""
+    _write_interaction_rows(((r.rater, r.ratee, r.timestamp) for r in records), path)
+
+
+def _write_interaction_rows(rows: Iterable[tuple[str, str, int]], path: str | Path) -> None:
+    with write_atomic(path) as fh:  # handles need no csv quoting: rows are joined text
+        fh.write(",".join(INTERACTION_CSV_HEADER) + "\n")
+        fh.writelines(f"{rater},{ratee},{timestamp}\n" for rater, ratee, timestamp in rows)
 
 
 class InteractionColumns(NamedTuple):
@@ -307,23 +355,24 @@ def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColu
         handles.append(handle)
         return ids[handle]
 
-    for line_no, row in read_csv_rows(source, INTERACTION_CSV_HEADER) or ():
-        if len(row) != 3:
-            raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
-        rater, ratee, raw_ts = row
-        i = ids[rater] if rater in ids else intern(rater, "rater", line_no)
-        j = ids[ratee] if ratee in ids else intern(ratee, "ratee", line_no)
-        if i == j:
-            raise FormatError(line_no, "rater and ratee must differ")
-        try:
-            ts = int(raw_ts)
-        except ValueError:
-            raise FormatError(line_no, f"timestamp {raw_ts!r} is not an integer") from None
-        if ts < 0:
-            raise FormatError(line_no, "timestamp must be >= 0")
-        raters.append(i)
-        ratees.append(j)
-        stamps.append(ts)
+    with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:
+        for line_no, row in rows or ():
+            if len(row) != 3:
+                raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
+            rater, ratee, raw_ts = row
+            i = ids[rater] if rater in ids else intern(rater, "rater", line_no)
+            j = ids[ratee] if ratee in ids else intern(ratee, "ratee", line_no)
+            if i == j:
+                raise FormatError(line_no, "rater and ratee must differ")
+            try:
+                ts = int(raw_ts)
+            except ValueError:
+                raise FormatError(line_no, f"timestamp {raw_ts!r} is not an integer") from None
+            if ts < 0:
+                raise FormatError(line_no, "timestamp must be >= 0")
+            raters.append(i)
+            ratees.append(j)
+            stamps.append(ts)
     return columns
 
 

@@ -249,26 +249,28 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
 
 
 def read_ranking_csv(source: str | Path | IO) -> RankedList:
-    rows = read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER)
-    if rows is None:
-        raise FormatError(1, "missing ranking CSV header")
     entries: list[RankEntry] = []
     method = ""
-    for line_no, row in rows:
-        if len(row) != 4:
-            raise FormatError(line_no, f"expected 4 columns, got {len(row)}")
-        raw_rank, node, raw_score, row_method = row
-        try:
-            rank = int(raw_rank)
-            score = float(raw_score)
-        except ValueError:
-            raise FormatError(line_no, f"bad rank/score in row: {row!r}") from None
-        if rank != len(entries) + 1:
-            raise FormatError(line_no, f"ranks must be consecutive from 1; got {rank}")
-        if method and row_method != method:
-            raise FormatError(line_no, f"mixed methods {method!r} and {row_method!r}")
-        method = row_method
-        entries.append(RankEntry(node, score, rank))
+    with read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER) as rows:
+        if rows is None:
+            raise FormatError(1, "missing ranking CSV header")
+        for line_no, row in rows:
+            if len(row) != 4:
+                raise FormatError(line_no, f"expected 4 columns, got {len(row)}")
+            raw_rank, node, raw_score, row_method = row
+            try:
+                rank = int(raw_rank)
+                score = float(raw_score)
+            except ValueError:
+                raise FormatError(line_no, f"bad rank/score in row: {row!r}") from None
+            if not math.isfinite(score):
+                raise FormatError(line_no, f"score {raw_score!r} is not a finite number")
+            if rank != len(entries) + 1:
+                raise FormatError(line_no, f"ranks must be consecutive from 1; got {rank}")
+            if method and row_method != method:
+                raise FormatError(line_no, f"mixed methods {method!r} and {row_method!r}")
+            method = row_method
+            entries.append(RankEntry(node, score, rank))
     return RankedList(method=method, entries=tuple(entries))
 
 

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,10 @@ TWEETS = "\n".join(
 )
 
 JUDGMENTS = "node,grade\nalice,2\nbob,1\ncarol,0\n"
+
+# Post corpora with one malformed line of each kind, and the ingest output the
+# previous, whole-file parser wrote for them.
+INGEST_DATA = Path(__file__).parent / "data" / "ingest"
 
 
 @pytest.fixture
@@ -539,3 +547,59 @@ def test_pipeline_artifacts_are_deterministic(workspace):
     )
     for name in names:
         assert (workspace / "run1" / name).read_bytes() == (workspace / "run2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ingest_reproduces_golden_output(workspace, capsys, fmt, strict):
+    name = f"posts.{fmt}"
+    data = (INGEST_DATA / name).read_bytes()
+    (workspace / name).write_bytes(data)
+    golden = INGEST_DATA / f"golden_{fmt}"
+    code = main(["ingest", "--input", name, *(["--strict"] if strict else [])])
+    out, err = capsys.readouterr()
+    if strict:
+        assert (code, out, err) == (2, "", (golden / "strict.stderr").read_text(encoding="utf-8"))
+        assert not (workspace / "out").exists()
+        return
+    assert code == 0
+    assert out == (golden / "lenient.stdout").read_text(encoding="utf-8")
+    assert err == (golden / "lenient.stderr").read_text(encoding="utf-8")
+    assert (workspace / "out" / "interactions.csv").read_bytes() == (golden / "interactions.csv").read_bytes()
+    stage = json.loads((workspace / "out" / "manifest.json").read_text())["stages"]["ingest"]
+    assert stage["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_ingest_memory_is_flat_in_the_input_size(workspace):
+    # No mentions, so the output stays a header: what grows with the input
+    # is only what the parser holds of it.
+    line = json.dumps({"author": "alice", "text": "nothing to see here, " * 5, "timestamp": 1}) + "\n"
+    peaks = []
+    for lines in (15_000, 30_000):
+        (workspace / f"{lines}.jsonl").write_text(line * lines, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--input", f"{lines}.jsonl"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_non_finite_ranking_score_exits_2_naming_line(workspace, capsys, command, score):
+    (workspace / "r.csv").write_text(f"rank,node,score,method\n1,alice,1,m\n2,bob,{score},m\n")
+    argv = [command, "r.csv"] + (["--judgments", "judgments.csv"] if command == "evaluate" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: r.csv:3: score {score!r} is not a finite number\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+@pytest.mark.parametrize("name", ["config.json", "out/manifest.json"])
+def test_overlong_json_integer_exits_2_naming_file(workspace, capsys, name):
+    (workspace / "out").mkdir()
+    (workspace / name).write_text('{"k": 1' + "0" * 5000 + "}")
+    argv = ["ingest", "--input", "tweets.jsonl"] + (["--config", name] if name == "config.json" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}: Exceeds the limit (4300 digits)")

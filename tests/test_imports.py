@@ -1,6 +1,7 @@
 """The package imports only the stdlib; numpy loads inside the reputation
-loop alone, and nothing needs scipy. Each check runs in a fresh interpreter,
-since this test process has long since imported numpy."""
+loop alone, so ingest runs without it, and nothing needs scipy. Each check
+runs in a fresh interpreter, since this test process has long since imported
+numpy."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_SCIPY = "import sys; sys.modules['scipy'] = None; from liquidrank.cli import main; sys.exit(main())"
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from liquidrank.cli import main; sys.exit(main())"
 
 
 def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -45,3 +47,17 @@ def test_cli_runs_without_scipy(tmp_path, argv):
     assert result.returncode == 0, result.stderr
     if argv[0] == "rank":
         assert (tmp_path / "out" / "ranking_liquid.csv").read_text().startswith("rank,node,score,method\n")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("posts.jsonl", '{"author": "a", "text": "@b @A", "timestamp": 1}\n'),
+        ("posts.csv", "author,text,timestamp\na,@b @A,1\n"),
+    ],
+)
+def test_ingest_runs_without_numpy(tmp_path, name, text):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    result = _python("-c", NO_NUMPY, "ingest", "--input", name, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\na,b,1\n"

@@ -1,21 +1,28 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from liquidrank.errors import FormatError
 from liquidrank.ingest import (
     InteractionRecord,
+    MalformedLine,
     TweetRecord,
     extract_mentions,
     parse_tweets,
+    read_interaction_columns,
     read_interactions_csv,
+    read_post_columns,
     to_interactions,
     valid_handle,
+    write_interaction_columns,
     write_interactions_csv,
     write_tweets_csv,
     write_tweets_jsonl,
 )
+
+INGEST_DATA = Path(__file__).parent / "data" / "ingest"
 
 
 def test_extract_mentions_basic_order_and_case():
@@ -131,6 +138,20 @@ def test_parse_jsonl_lenient_tallies_and_continues():
     assert [t.text for t in result.tweets] == ["one", "two"]
     assert [m.line for m in result.malformed] == [2, 4]
     assert all(m.reason for m in result.malformed)
+
+
+def test_parse_checks_an_author_on_every_line_until_it_passes():
+    text = "\n".join(
+        json.dumps({"author": author, "text": "@x", "timestamp": 1})
+        for author in ["Bad One", "Bad One", "Alice", "alice", "ALICE", 7]
+    )
+    result = parse_tweets(text, "jsonl", strict=False)
+    assert [t.author for t in result.tweets] == ["alice", "alice", "alice"]
+    assert [(m.line, m.reason) for m in result.malformed] == [
+        (1, "author 'Bad One' is not a valid handle"),
+        (2, "author 'Bad One' is not a valid handle"),
+        (6, "author must be a non-empty string"),
+    ]
 
 
 def test_parse_csv_happy_path():
@@ -279,3 +300,83 @@ def test_read_interactions_csv_header_check():
     with pytest.raises(FormatError):
         read_interactions_csv("a,b,c\n")
     assert read_interactions_csv("") == []
+
+
+# Raw U+2028, U+2029 and U+0085 are valid inside a JSON string, and
+# json.dumps(..., ensure_ascii=False) writes them raw. A raw form feed is not,
+# so its line is malformed, but it must not split the line in two.
+SEPARATOR_POSTS = [
+    json.dumps({"author": "a", "text": "one\u2028two @b", "timestamp": 1}, ensure_ascii=False),
+    json.dumps({"author": "b", "text": "\u2029 @a \x85", "timestamp": 2}, ensure_ascii=False),
+    '{"author": "c", "text": "form\x0cfeed @a", "timestamp": 3}',
+    "not json",
+    json.dumps({"author": "c", "text": "@a\x1c", "timestamp": 5}),
+]
+
+
+def _source(kind, text, tmp_path):
+    if kind == "path":
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    return {"str": text, "bytes": text.encode("utf-8"), "file": io.StringIO(text)}[kind]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("kind", ["str", "bytes", "file", "path"])
+def test_jsonl_lines_end_only_at_universal_newlines(tmp_path, kind, ending):
+    text = ending.join(SEPARATOR_POSTS) + ending
+    result = parse_tweets(_source(kind, text, tmp_path), "jsonl", strict=False)
+    assert result.tweets == [
+        TweetRecord("a", "one\u2028two @b", 1),
+        TweetRecord("b", "\u2029 @a \x85", 2),
+        TweetRecord("c", "@a\x1c", 5),
+    ]
+    assert [m.line for m in result.malformed] == [3, 4]
+    assert "Invalid control character" in result.malformed[0].reason
+    with pytest.raises(FormatError) as exc_info:
+        parse_tweets(_source(kind, text, tmp_path), "jsonl")
+    assert exc_info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '  {"author": "a", "text": "t", "timestamp": 1}\t ',
+        '{"author": "a", "text": "t", "timestamp": 1} x',
+        '\ufeff{"author": "a", "text": "t", "timestamp": 1}',
+        '{"author": "a", "text": "t", "timestamp": 1',
+        '{"author": "a", "text": "t", "timestamp": 1}\u2028',
+    ],
+    ids=["padded", "extra-data", "bom", "truncated", "separator-after"],
+)
+def test_jsonl_line_is_read_as_json_loads_reads_it(line):
+    # Each line is decoded by json's scanner directly; anything but a bare
+    # value must still get json.loads' result or error message.
+    try:
+        expected = TweetRecord(**json.loads(line))
+    except ValueError as exc:
+        expected = MalformedLine(1, str(exc))
+    result = parse_tweets(line + "\r\n", "jsonl", strict=False)
+    assert result.tweets + result.malformed == [expected]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_post_columns_round_trip_and_match_the_record_views(tmp_path, fmt):
+    source = INGEST_DATA / f"posts.{fmt}"
+    columns, posts, malformed = read_post_columns(source, fmt, strict=False)
+    path = tmp_path / "interactions.csv"
+    write_interaction_columns(columns, path)
+    back = read_interaction_columns(path)
+
+    def rows(c):
+        return [(c.handles[i], c.handles[j], ts) for i, j, ts in zip(c.raters, c.ratees, c.timestamps)]
+
+    assert rows(back) == rows(columns)
+    assert sorted(back.handles) == sorted(columns.handles)
+    parsed = parse_tweets(source, fmt, strict=False)
+    records = to_interactions(parsed.tweets)
+    assert rows(columns) == [(r.rater, r.ratee, r.timestamp) for r in records]
+    assert (posts, malformed) == (len(parsed.tweets), parsed.malformed)
+    write_interactions_csv(records, tmp_path / "records.csv")
+    assert (tmp_path / "records.csv").read_bytes() == path.read_bytes()
