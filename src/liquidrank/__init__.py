@@ -10,7 +10,6 @@ together behind a `liquidrank` console command.
 from .errors import (
     DegenerateUpdate,
     EmptyGraph,
-    EmptyInput,
     EmptyRanking,
     FormatError,
     NodeSetMismatch,
@@ -28,8 +27,6 @@ from .ingest import (
     to_interactions,
     valid_handle,
     write_interactions_csv,
-    write_tweets_csv,
-    write_tweets_jsonl,
 )
 from .graph import (
     UNBOUNDED,
@@ -64,11 +61,9 @@ from .evaluation import (
     MetricReport,
     average_precision,
     evaluate,
-    mean_reciprocal_rank,
     precision_at_k,
     read_judgments_csv,
     reciprocal_rank,
-    write_judgments_csv,
     write_report_json,
 )
 
@@ -77,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateUpdate",
     "EmptyGraph",
-    "EmptyInput",
     "EmptyRanking",
     "FormatError",
     "NodeSetMismatch",
@@ -93,8 +87,6 @@ __all__ = [
     "to_interactions",
     "valid_handle",
     "write_interactions_csv",
-    "write_tweets_csv",
-    "write_tweets_jsonl",
     "UNBOUNDED",
     "RatingGraph",
     "TimeWindow",
@@ -123,11 +115,9 @@ __all__ = [
     "MetricReport",
     "average_precision",
     "evaluate",
-    "mean_reciprocal_rank",
     "precision_at_k",
     "read_judgments_csv",
     "reciprocal_rank",
-    "write_judgments_csv",
     "write_report_json",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import ingest as ingest_mod
-from .errors import DegenerateUpdate, EmptyGraph, EmptyInput, EmptyRanking, FormatError, NodeSetMismatch
+from .errors import DegenerateUpdate, EmptyGraph, EmptyRanking, FormatError, NodeSetMismatch
 from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
 from .ingest import POST_FORMATS
@@ -61,7 +61,6 @@ _EXIT_CODES = {
     EmptyGraph: EXIT_DOMAIN,
     DegenerateUpdate: EXIT_DOMAIN,
     EmptyRanking: EXIT_DOMAIN,
-    EmptyInput: EXIT_DOMAIN,
     NodeSetMismatch: EXIT_DOMAIN,
 }
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes (`cli._EXIT_CODES`): format/validation
-problems exit 2, domain errors (empty graph, vanished inflow, empty ranking
-or input, mismatched node sets) exit 3, I/O failures exit 1.
+problems exit 2, domain errors (empty graph, vanished inflow, empty ranking,
+mismatched node sets) exit 3, I/O failures exit 1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,3 @@ class NodeSetMismatch(Exception):
 
 class EmptyRanking(Exception):
     """Metric requested on a ranking with no entries."""
-
-
-class EmptyInput(Exception):
-    """Aggregate metric requested over zero rankings."""

@@ -1,6 +1,6 @@
 """Score rankings against graded relevance judgments.
 
-Judgments grade each channel 0-2; grade 2 (by default) counts as relevant,
+Judgments grade each channel 0-2; grade 2 (RELEVANT_GRADE) counts as relevant,
 everything else - including channels nobody judged - as irrelevant. Three
 metrics: precision at a cutoff, average precision within the cutoff, and
 reciprocal rank of the first relevant entry. All of them depend only on the
@@ -14,21 +14,21 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .errors import EmptyInput, EmptyRanking, FormatError
-from .ingest import read_csv_rows, write_csv_rows, write_json
+from .errors import EmptyRanking, FormatError
+from .ingest import read_csv_rows, write_json
 from .rank import RankedList
 
 VALID_GRADES = (0, 1, 2)
+RELEVANT_GRADE = 2
 
 JUDGMENT_CSV_HEADER = ["node", "grade"]
 
 
 @dataclass(frozen=True)
 class JudgmentSet:
-    """node -> grade map on the 0-2 scale with a relevance threshold."""
+    """node -> grade map on the 0-2 scale; RELEVANT_GRADE is relevant."""
 
     grades: dict[str, int]
-    relevance_threshold: int = 2
 
     def __post_init__(self):
         for node, grade in self.grades.items():
@@ -37,10 +37,10 @@ class JudgmentSet:
 
     def is_relevant(self, node: str) -> bool:
         grade = self.grades.get(node)
-        return grade is not None and grade >= self.relevance_threshold
+        return grade == RELEVANT_GRADE
 
     def relevant_total(self) -> int:
-        return sum(1 for g in self.grades.values() if g >= self.relevance_threshold)
+        return sum(1 for g in self.grades.values() if g == RELEVANT_GRADE)
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,6 @@ def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
     return _reciprocal_rank(_relevance_flags(ranked, judgments))
 
 
-def mean_reciprocal_rank(rankings: Iterable[RankedList], judgments: JudgmentSet) -> float:
-    values = [reciprocal_rank(r, judgments) for r in rankings]
-    if not values:
-        raise EmptyInput("mean reciprocal rank needs at least one ranking")
-    return sum(values) / len(values)
-
-
 def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport:
     """Bundle all three metrics plus relevance counts into one report.
 
@@ -141,10 +134,7 @@ def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport
     )
 
 
-def read_judgments_csv(
-    source: str | Path | IO,
-    relevance_threshold: int = 2,
-) -> JudgmentSet:
+def read_judgments_csv(source: str | Path | IO) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
     grades: dict[str, int] = {}
     with read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER) as rows:
@@ -161,11 +151,7 @@ def read_judgments_csv(
             if grade not in VALID_GRADES:
                 raise FormatError(line_no, f"grade must be 0-2, got {grade}")
             grades[node] = grade
-    return JudgmentSet(grades=grades, relevance_threshold=relevance_threshold)
-
-
-def write_judgments_csv(judgments: JudgmentSet, path: str | Path) -> None:
-    write_csv_rows(path, JUDGMENT_CSV_HEADER, ([node, judgments.grades[node]] for node in sorted(judgments.grades)))
+    return JudgmentSet(grades=grades)
 
 
 def write_report_json(report: MetricReport, path: str | Path) -> None:

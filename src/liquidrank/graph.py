@@ -52,7 +52,8 @@ class RatingGraph:
     to node ``ratees[k]`` (positions in ``nodes``) with weight
     ``weights[k]``; the three int64 arrays are ordered by (rater id, ratee
     id), which is also (rater, ratee) order. Absent edge means weight 0;
-    stored edges always have weight >= 1 and never form self-loops.
+    stored edges always have weight >= 1 and never form self-loops. Graphs
+    compare by identity; equal graphs have equal ``nodes`` and ``sorted_edges()``.
     """
 
     nodes: tuple[str, ...]
@@ -61,11 +62,6 @@ class RatingGraph:
     weights: np.ndarray
     window: TimeWindow = field(default=UNBOUNDED)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatingGraph):
-            return NotImplemented
-        return (self.nodes, self.window, self.sorted_edges()) == (other.nodes, other.window, other.sorted_edges())
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -73,11 +69,6 @@ class RatingGraph:
     @property
     def edge_count(self) -> int:
         return len(self.weights)
-
-    @property
-    def edges(self) -> dict[tuple[str, str], int]:
-        """(rater, ratee) -> weight, built from the arrays on each access."""
-        return {(i, j): w for i, j, w in self.sorted_edges()}
 
     def total_weight(self) -> int:
         return int(self.weights.sum())

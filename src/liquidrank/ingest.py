@@ -299,17 +299,6 @@ def to_interactions(tweets: Iterable[TweetRecord]) -> list[InteractionRecord]:
     ]
 
 
-def write_tweets_jsonl(tweets: Iterable[TweetRecord], path: str | Path) -> None:
-    with write_atomic(path) as fh:
-        for t in tweets:
-            fh.write(json.dumps({"author": t.author, "text": t.text, "timestamp": t.timestamp}))
-            fh.write("\n")
-
-
-def write_tweets_csv(tweets: Iterable[TweetRecord], path: str | Path) -> None:
-    write_csv_rows(path, TWEET_CSV_HEADER, ([t.author, t.text, t.timestamp] for t in tweets))
-
-
 def write_interaction_columns(columns: InteractionColumns, path: str | Path) -> None:
     """Canonical interaction CSV: header ``rater,ratee,timestamp``, then one
     row per interaction, in column order."""

@@ -60,7 +60,9 @@ class RankParams:
     """Convergence knobs for the reputation loop.
 
     epsilon is the negligible-change threshold on the max componentwise
-    score change per cycle; iteration stops below it.
+    score change per cycle, relative to the largest new score; iteration
+    stops below it. Relative, so that it means the same at any graph size:
+    under l1 a score is about 1/N, under max the top score is 1.
     """
 
     epsilon: float = 0.0001
@@ -106,9 +108,6 @@ class RankedList:
     method: str
     entries: tuple[RankEntry, ...] = field(default=())
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def ranked_list_from_scores(method: str, scores: Mapping[str, float]) -> RankedList:
     nodes = sorted(scores)
@@ -140,39 +139,13 @@ def _norm(vec: np.ndarray, mode: str) -> float:
     return float(vec.sum()) if mode == "l1" else float(vec.max())
 
 
-def _initial_vector(
-    graph: RatingGraph,
-    mode: str,
-    initial: Mapping[str, float] | None,
-) -> np.ndarray:
-    import numpy as np
-
-    n = graph.node_count
-    if initial is None:
-        return np.full(n, 1.0 / n) if mode == "l1" else np.ones(n)
-    missing = [node for node in graph.nodes if node not in initial]
-    if missing:
-        raise ValueError(f"initial scores missing for node(s): {missing}")
-    vec = np.array([float(initial[node]) for node in graph.nodes])
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        raise ValueError("initial scores must be finite and non-negative")
-    total = _norm(vec, mode)
-    if total <= 0:
-        raise ValueError("initial scores must not all be zero")
-    return vec / total
-
-
-def liquid_rank(
-    graph: RatingGraph,
-    params: RankParams = RankParams(),
-    initial: Mapping[str, float] | None = None,
-) -> ReputationState:
+def liquid_rank(graph: RatingGraph, params: RankParams = RankParams()) -> ReputationState:
     """Iterate the damped propagate-and-normalize cycle to its fixed point.
 
-    Starts uniform (1/N under l1, all-ones under max) unless ``initial`` is
-    given; a caller-supplied vector is normalized first. Stops when the max
-    componentwise change drops below epsilon, or at max_iters with
-    converged=False; non-convergence is reported, not raised.
+    Starts uniform (1/N under l1, all-ones under max). Stops when the max
+    componentwise change drops below epsilon times the largest new score,
+    or at max_iters with converged=False; non-convergence is reported, not
+    raised. final_delta is the last absolute max change.
     """
     if graph.edge_count == 0:
         raise EmptyGraph("reputation ranking needs at least one edge")
@@ -185,11 +158,12 @@ def liquid_rank(
     # T_ij: weights pre-divided by the total, so that no uniform rescaling
     # of the edge counts moves the operator or the iterate sequence.
     flow = graph.weights / graph.total_weight()
-    scores = _initial_vector(graph, mode, initial)
+    scores = np.full(n, 1.0 / n if mode == "l1" else 1.0)
 
     iterations = 0
     delta = math.inf
-    while iterations < params.max_iters:
+    converged = False
+    while not converged and iterations < params.max_iters:
         update = np.bincount(ratees, weights=flow * scores[raters], minlength=n)
         update_norm = _norm(update, mode)
         if update_norm <= 0:
@@ -199,16 +173,15 @@ def liquid_rank(
         blended = (1.0 - alpha) * scores + alpha * (update / update_norm)
         new_scores = blended / _norm(blended, mode)
         delta = float(np.max(np.abs(new_scores - scores)))
+        converged = delta < params.epsilon * float(new_scores.max())
         scores = new_scores
         iterations += 1
-        if delta < params.epsilon:
-            break
 
     return ReputationState(
         scores=dict(zip(graph.nodes, scores.tolist())),
         iterations=iterations,
         final_delta=delta,
-        converged=delta < params.epsilon,
+        converged=converged,
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from liquidrank import cli, ingest, rank
 from liquidrank.cli import RunConfig, main
-from liquidrank.errors import EmptyInput, NodeSetMismatch
+from liquidrank.errors import EmptyRanking, NodeSetMismatch
 from liquidrank.rank import RankParams, read_ranking_csv
 
 TWEETS = "\n".join(
@@ -282,7 +282,7 @@ def test_evaluate_empty_ranking_exits_3_naming_file(workspace, capsys):
     assert err.startswith("error: empty.csv:") and "no entries" in err
 
 
-@pytest.mark.parametrize("exc", [EmptyInput("no rankings"), NodeSetMismatch({"a"}, set())])
+@pytest.mark.parametrize("exc", [EmptyRanking("no entries"), NodeSetMismatch({"a"}, set())])
 def test_domain_errors_exit_3(workspace, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc

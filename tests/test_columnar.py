@@ -16,8 +16,11 @@ from liquidrank.graph import TimeWindow, build_graph, in_weights
 from liquidrank.ingest import InteractionRecord, read_interaction_columns
 from liquidrank.rank import liquid_rank, mention_rank, product_rank, to_ranked_list
 
-# Rankings written by the dict-and-sort implementation the columnar path
-# replaced, one directory per window: golden_<start>_<end>.
+# Rankings and reputation.json for three consecutive windows, one directory
+# per window: golden_<start>_<end>. The mention rankings are those the
+# dict-and-sort implementation the columnar path replaced wrote; the liquid and
+# product rankings and reputation.json were rewritten when the stopping rule
+# became relative to the top score.
 WINDOWS = Path(__file__).parent / "data" / "windows"
 
 HANDLES = ["b", "a", "a_", "aa", "z9", "c"]
@@ -62,7 +65,6 @@ def test_columnar_graph_and_rankings_match_counter_reference(records, window):
     text = "rater,ratee,timestamp\n" + "".join(f"{r.rater},{r.ratee},{r.timestamp}\n" for r in records)
     for graph in (build_graph(records, window), build_graph(read_interaction_columns(text), window)):
         assert graph.nodes == nodes
-        assert graph.edges == dict(counts)
         assert graph.sorted_edges() == sorted((i, j, w) for (i, j), w in counts.items())
         assert graph.total_weight() == len(kept)
         assert in_weights(graph) == inflow

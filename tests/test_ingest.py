@@ -18,8 +18,6 @@ from liquidrank.ingest import (
     valid_handle,
     write_interaction_columns,
     write_interactions_csv,
-    write_tweets_csv,
-    write_tweets_jsonl,
 )
 
 INGEST_DATA = Path(__file__).parent / "data" / "ingest"
@@ -215,15 +213,21 @@ def test_tweets_csv_roundtrip_with_awkward_text(tmp_path):
         TweetRecord("carol", "", 3),
     ]
     path = tmp_path / "tweets.csv"
-    write_tweets_csv(tweets, path)
+    path.write_text(
+        'author,text,timestamp\nalice,"she said ""hi"" to @bob, twice",1\nbob,"line one\nline two @alice",2\ncarol,,3\n',
+        encoding="utf-8",
+    )
     result = parse_tweets(path, "csv")
     assert result.tweets == tweets
+    columns, posts, _ = read_post_columns(path, "csv")
+    assert posts == 3
+    assert [columns.handles[i] for i in columns.ratees] == ["bob", "alice"]
 
 
 def test_tweets_jsonl_roundtrip(tmp_path):
     tweets = [TweetRecord("alice", "hi @bob ☃", 1)]
     path = tmp_path / "tweets.jsonl"
-    write_tweets_jsonl(tweets, path)
+    path.write_text("".join(json.dumps(vars(t)) + "\n" for t in tweets), encoding="utf-8")
     assert parse_tweets(path, "jsonl").tweets == tweets
 
 
