@@ -210,16 +210,18 @@ def _stage(command):
     """Run ``command(config, manifest, ...)`` as the stage named after it
     (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
     write its artifacts and fill the manifest in, then record the command's
-    wall time and write the manifest, only if the command succeeded."""
+    wall time and write the manifest. The stage's files replace the old ones
+    together when it ends, the manifest last; a failed stage replaces none."""
     name = command.__name__.removeprefix("cmd_")
 
     @functools.wraps(command)
     def run(config: RunConfig, *args, **kwargs) -> int:
         start = time.perf_counter()
         manifest = _load_manifest(Path(config.out_dir))
-        command(config, manifest, *args, **kwargs)
-        manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
-        ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
+        with ingest_mod.write_together():
+            command(config, manifest, *args, **kwargs)
+            manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
+            ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
         return EXIT_OK
 
     return run
@@ -357,7 +359,7 @@ def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     """Horizontal bar chart in plain text, widths proportional to score."""
     rows = top_k(ranked, k).entries
     name = title or ranked.method or "ranking"
-    lines = [f"{name}: top {len(rows)} of {len(ranked.entries)}"]
+    lines = [f"{name}: top {len(rows)} of {len(ranked.nodes)}"]
     if rows:
         max_score = max(e.score for e in rows)
         label_width = max(len(e.node) for e in rows)
@@ -379,7 +381,7 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<text x="10" y="20">{name}: top {len(rows)} of {len(ranked.entries)}</text>',
+        f'<text x="10" y="20">{name}: top {len(rows)} of {len(ranked.nodes)}</text>',
     ]
     for idx, e in enumerate(rows):
         y = 34 + idx * (bar_h + gap)

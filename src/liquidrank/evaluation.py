@@ -55,13 +55,13 @@ class MetricReport:
 
 
 def _check_nonempty(ranked: RankedList) -> None:
-    if not ranked.entries:
+    if not ranked.nodes:
         raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
 
 
 def _relevance_flags(ranked: RankedList, judgments: JudgmentSet) -> Iterator[bool]:
     """Relevance of each entry down the ranking, judged only as far as read."""
-    return (judgments.is_relevant(e.node) for e in ranked.entries)
+    return map(judgments.is_relevant, ranked.nodes)
 
 
 def _top_flags(ranked: RankedList, judgments: JudgmentSet, k: int) -> tuple[list[bool], Iterator[bool]]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .ingest import InteractionColumns, InteractionRecord
+from .ingest import MAX_TIMESTAMP, InteractionColumns, InteractionRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,11 +120,19 @@ def build_graph(
         rows = [(ids.setdefault(r.rater, len(ids)), ids.setdefault(r.ratee, len(ids)), r.timestamp) for r in records]
         records = InteractionColumns(list(ids), *(zip(*rows) if rows else ([], [], [])))
     handles, raters, ratees, stamps = records
-    # Python ints compare exactly with any int or float window bound.
-    stamps = np.array(stamps, dtype=object)
-    kept = (stamps >= window.start) & (stamps < window.end)
-    raters, ratees = np.array(raters, dtype=np.int64)[kept], np.array(ratees, dtype=np.int64)[kept]
+    stamps = np.asarray(stamps, dtype=np.int64)
+    kept = (stamps > _last_before(window.start)) & (stamps <= _last_before(window.end))
+    raters, ratees = np.asarray(raters, dtype=np.int64)[kept], np.asarray(ratees, dtype=np.int64)[kept]
     return _rating_graph(handles, raters, ratees, None, window)
+
+
+def _last_before(bound: float) -> int:
+    """The last int64 before ``bound``, or -2**63 if none is: an exact integer
+    for any int or float bound, so that comparing int64 timestamps with it
+    is exact for every timestamp in [0, MAX_TIMESTAMP]."""
+    if abs(bound) == math.inf:
+        return MAX_TIMESTAMP if bound > 0 else -MAX_TIMESTAMP - 1
+    return min(max(math.ceil(bound) - 1, -MAX_TIMESTAMP - 1), MAX_TIMESTAMP)
 
 
 def from_edge_counts(

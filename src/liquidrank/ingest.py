@@ -16,10 +16,13 @@ import io
 import json
 import os
 import re
+from collections import defaultdict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
 
@@ -28,12 +31,20 @@ from .errors import FormatError
 # count). Runs longer than 15 are cut at 15; the tail is plain text.
 MENTION_RE = re.compile(r"(?<![A-Za-z0-9_@])@([A-Za-z0-9_]{1,15})")
 
-HANDLE_RE = re.compile(r"[a-z0-9_]{1,15}\Z")
+_HANDLE = "[a-z0-9_]{1,15}"
+HANDLE_RE = re.compile(_HANDLE + r"\Z")
 
 POST_FORMATS = ("jsonl", "csv")
 
 TWEET_CSV_HEADER = ["author", "text", "timestamp"]
 INTERACTION_CSV_HEADER = ["rater", "ratee", "timestamp"]
+
+MAX_TIMESTAMP = 2**63 - 1  # timestamps are epoch seconds in [0, 2**63 - 1]: rank holds int64 columns
+
+# Characters of whole lines read_interaction_columns splits in one step: a
+# larger chunk raised rank's peak RSS without making it faster, and one near
+# the csv module's field size limit would go row by row.
+_CHUNK_CHARS = 1 << 15
 
 _scan_json = json.JSONDecoder().scan_once
 
@@ -88,6 +99,11 @@ def valid_handle(handle: str) -> bool:
     return bool(HANDLE_RE.match(handle))
 
 
+def _range_fault(ts: int) -> str:
+    """Why ``ts``, outside [0, MAX_TIMESTAMP], is not a timestamp."""
+    return "timestamp must be >= 0" if ts < 0 else f"timestamp must be <= {MAX_TIMESTAMP}"
+
+
 @contextmanager
 def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
     """``source`` as UTF-8 lines with their endings: a path is read line by
@@ -122,10 +138,16 @@ def read_csv_rows(
     """
     with _text_lines(source) as lines:
         reader = csv.reader(lines)
-        first = next(_numbered_rows(reader, None), None)
-        if first is not None and first[1] != header:
-            raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
-        yield None if first is None else _numbered_rows(reader, malformed)
+        yield _numbered_rows(reader, malformed) if _read_header(reader, header) else None
+
+
+def _read_header(reader, header: list[str]) -> bool:
+    """Read the first row: False for empty input, FormatError at line 1
+    unless the row is ``header``."""
+    first = next(_numbered_rows(reader, None), None)
+    if first is not None and first[1] != header:
+        raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
+    return first is not None
 
 
 def _numbered_rows(reader, malformed: list[MalformedLine] | None) -> Iterator[tuple[int, list[str]]]:
@@ -140,21 +162,43 @@ def _numbered_rows(reader, malformed: list[MalformedLine] | None) -> Iterator[tu
             malformed.append(MalformedLine(reader.line_num, str(exc)))
 
 
+# Inside write_together: each path written and its temporary file.
+_held: ContextVar[dict[Path, Path] | None] = ContextVar("held", default=None)
+
+
+@contextmanager
+def write_together() -> Iterator[None]:
+    """Hold back the renames of write_atomic inside the block: a clean exit
+    renames each temporary file over its path, in the order first written; an
+    error removes them all. A nested block joins the outer one."""
+    if _held.get() is not None:
+        yield
+        return
+    held = {}
+    token = _held.set(held)
+    try:
+        yield
+        for path, temp in held.items():
+            os.replace(temp, path)
+    finally:
+        _held.reset(token)
+        for temp in held.values():
+            temp.unlink(missing_ok=True)
+
+
 @contextmanager
 def write_atomic(path: str | Path) -> Iterator[IO[str]]:
     """Write UTF-8 text, line endings as given, to a temporary file beside
     ``path`` (making its directory if missing) and rename it over ``path`` on
-    a clean exit: a run that dies mid-write leaves the previous bytes and no
-    temporary file behind."""
+    a clean exit, or at the end of the write_together block around it: a run
+    that dies mid-write leaves the previous bytes and no temporary file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    with write_together():
+        _held.get()[path] = temp
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
 
 
 def write_json(path: str | Path, obj: object) -> None:
@@ -162,14 +206,6 @@ def write_json(path: str | Path, obj: object) -> None:
     with write_atomic(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` as UTF-8 CSV, one row per line."""
-    with write_atomic(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _posts(
@@ -204,8 +240,8 @@ def _posts(
                     raise ValueError("text must be a string")
                 if isinstance(timestamp, bool) or not isinstance(timestamp, int):
                     raise ValueError("timestamp must be an integer")
-                if timestamp < 0:
-                    raise ValueError("timestamp must be >= 0")
+                if not 0 <= timestamp <= MAX_TIMESTAMP:
+                    raise ValueError(_range_fault(timestamp))
             # json raises RecursionError on a value nested past the recursion limit.
             except (ValueError, RecursionError) as exc:
                 if strict:
@@ -321,51 +357,107 @@ def _write_interaction_rows(rows: Iterable[tuple[str, str, int]], path: str | Pa
 class InteractionColumns(NamedTuple):
     """Interaction rows as parallel columns: ``raters[k]`` and ``ratees[k]``
     index ``handles``, which lists each handle once in order of first sight,
-    and ``timestamps[k]`` is row k's time."""
+    and ``timestamps[k]`` is row k's time. read_post_columns fills lists,
+    read_interaction_columns int64 arrays."""
 
     handles: list[str]
-    raters: list[int]
-    ratees: list[int]
-    timestamps: list[int]
+    raters: Sequence[int]
+    ratees: Sequence[int]
+    timestamps: Sequence[int]
 
 
 def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColumns:
-    """Load a canonical interaction CSV into columns in one pass. Always
-    strict: this is our own format. A handle is checked once, at its first
-    occurrence; every other check runs on every row."""
-    columns = InteractionColumns([], [], [], [])
-    handles, raters, ratees, stamps = columns
-    ids: dict[str, int] = {}
+    """Load a canonical interaction CSV into columns. Always strict: this is
+    our own format. Chunks of whole lines are split in one step; a chunk that
+    step cannot take whole is read row by row, to name its first faulty line.
+    A handle is checked once, when it is first seen."""
+    import numpy as np
 
-    def intern(handle: str, role: str, line_no: int) -> int:
-        if not valid_handle(handle):
-            raise FormatError(line_no, f"{role} {handle!r} is not a valid handle")
-        ids[handle] = len(handles)
-        handles.append(handle)
-        return ids[handle]
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a new handle gets the next id
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    with _text_lines(source) as fh:
+        reader = csv.reader(fh)
+        _read_header(reader, INTERACTION_CSV_HEADER)
+        line_no = reader.line_num
+        while lines := fh.readlines(_CHUNK_CHARS):
+            part, read = _split_lines(lines, ids), len(lines)
+            if part is None:
+                part, read = _read_rows(chain(lines, fh), len(lines), line_no, ids)
+            parts.append(part)
+            line_no += read
+    return InteractionColumns(list(ids), *np.concatenate(parts, axis=1))
 
-    with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:
-        for line_no, row in rows or ():
+
+def _split_lines(lines: list[str], ids: dict[str, int]):
+    """The rows of ``lines`` as a 3 x N int64 array (rater id, ratee id,
+    timestamp), or None, with ``ids`` as it was, if a line needs the csv
+    module or fails a check."""
+    import numpy as np
+
+    text = "".join(lines)
+    if '"' in text or "\r" in text or len(text) >= csv.field_size_limit():
+        return None
+    # With a "," after each "\n", every "\n" ends a field: the lines are
+    # rater,ratee,timestamp if there are 3 fields a line and no handle holds a "\n".
+    fields = (text if text.endswith("\n") else text + "\n").replace("\n", "\n,").split(",")[:-1]
+    n = len(lines)
+    if len(fields) != 3 * n:
+        return None
+    stamps = fields[2::3]
+    del fields[2::3]
+    try:  # int() takes the "\n" as whitespace, like any other around the digits
+        stamps = np.fromiter(map(int, stamps), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    seen = len(ids)
+    pairs = np.fromiter(map(ids.__getitem__, fields), np.int64, 2 * n)
+    new = [fields[k] for k in np.flatnonzero(pairs >= seen).tolist()]  # each field holding a new handle
+    pairs = pairs.reshape(n, 2).T
+    handles_ok = re.fullmatch(f"(?:{_HANDLE}\n)*", "\n".join([*new, ""]))  # every new handle in one match
+    if not handles_ok or (stamps < 0).any() or (pairs[0] == pairs[1]).any():
+        for handle in new:
+            ids.pop(handle, None)
+        return None
+    return np.vstack([pairs, stamps])
+
+
+def _read_rows(lines: Iterator[str], stop: int, line_no: int, ids: dict[str, int]):
+    """Read rows from ``lines``, which follow line ``line_no``, with the csv
+    module until one ends at or past their line ``stop``; raise FormatError at
+    the first faulty row. Returns the rows as _split_lines does, and the
+    count of lines read."""
+    import numpy as np
+
+    columns: list[list[int]] = [[], [], []]
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            at = line_no + reader.line_num
             if len(row) != 3:
-                raise FormatError(line_no, f"expected 3 columns, got {len(row)}")
-            rater, ratee, raw_ts = row
-            i = ids[rater] if rater in ids else intern(rater, "rater", line_no)
-            j = ids[ratee] if ratee in ids else intern(ratee, "ratee", line_no)
-            if i == j:
-                raise FormatError(line_no, "rater and ratee must differ")
+                raise FormatError(at, f"expected 3 columns, got {len(row)}")
+            for column, role, handle in zip(columns, ("rater", "ratee"), row):
+                if handle not in ids and not valid_handle(handle):
+                    raise FormatError(at, f"{role} {handle!r} is not a valid handle")
+                column.append(ids[handle])
+            if row[0] == row[1]:
+                raise FormatError(at, "rater and ratee must differ")
             try:
-                ts = int(raw_ts)
+                ts = int(row[2])
             except ValueError:
-                raise FormatError(line_no, f"timestamp {raw_ts!r} is not an integer") from None
-            if ts < 0:
-                raise FormatError(line_no, "timestamp must be >= 0")
-            raters.append(i)
-            ratees.append(j)
-            stamps.append(ts)
-    return columns
+                raise FormatError(at, f"timestamp {row[2]!r} is not an integer") from None
+            if not 0 <= ts <= MAX_TIMESTAMP:
+                raise FormatError(at, _range_fault(ts))
+            columns[2].append(ts)
+            if reader.line_num >= stop:
+                break
+    except csv.Error as exc:
+        raise FormatError(line_no + reader.line_num, str(exc)) from None
+    return np.array(columns, dtype=np.int64).reshape(3, -1), reader.line_num
 
 
 def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:
     """Load a canonical interaction CSV as records: a view of its columns."""
     handles, raters, ratees, stamps = read_interaction_columns(source)
-    return [InteractionRecord(handles[i], handles[j], ts) for i, j, ts in zip(raters, ratees, stamps)]
+    rows = zip(raters.tolist(), ratees.tolist(), stamps.tolist())
+    return [InteractionRecord(handles[i], handles[j], ts) for i, j, ts in rows]

@@ -26,7 +26,7 @@ arrays, which are ordered by (rater id, ratee id): each cycle is one
 ``np.bincount`` over the ratee ids weighted by T_ij * R_i. Every node's
 inflow is therefore summed in ascending rater order, the same order a CSR
 matrix-vector product uses. Rankings are stable argsorts of -score over the
-sorted node table.
+sorted node table, kept as arrays; the artifacts are written as joined text.
 
 numpy is imported inside the functions that rank, so importing the package
 (and starting the CLI for ingest, evaluate or report) loads the stdlib alone.
@@ -34,14 +34,18 @@ numpy is imported inside the functions that rank, so importing the package
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
-from .graph import RatingGraph, TimeWindow, in_weights
-from .ingest import read_csv_rows, write_csv_rows, write_json
+from .graph import RatingGraph, TimeWindow
+from .ingest import read_csv_rows, write_atomic
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,6 +57,9 @@ METHOD_PRODUCT = "product"
 NORM_MODES = ("l1", "max")
 
 RANKING_CSV_HEADER = ["rank", "node", "score", "method"]
+
+# A ranking CSV row as joined text, its score as format_score writes it.
+_RANKING_ROW = "{},{},{:.12g},{}\n".format
 
 
 @dataclass(frozen=True)
@@ -99,14 +106,20 @@ class RankEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Entries sorted by score descending, ties broken by node id ascending.
-
-    Ranks run 1..N with no gaps; tied scores still get distinct consecutive
-    ranks, so every list is totally ordered and deterministic.
-    """
+    """Nodes and their scores in rank order: score descending, ties broken by
+    node id ascending. Ranks run 1..N with no gaps; tied scores still get
+    distinct consecutive ranks, so every list is totally ordered and
+    deterministic. ``ids``, when known, places each node in the sorted node
+    table it was ranked over."""
 
     method: str
-    entries: tuple[RankEntry, ...] = field(default=())
+    nodes: Sequence[str] = ()
+    scores: Sequence[float] = ()
+    ids: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def entries(self) -> tuple[RankEntry, ...]:
+        return tuple(map(RankEntry, self.nodes, self.scores, range(1, len(self.nodes) + 1)))
 
 
 def ranked_list_from_scores(method: str, scores: Mapping[str, float]) -> RankedList:
@@ -124,15 +137,25 @@ def _ranked_list(method: str, nodes: Sequence[str], scores: Sequence[float]) -> 
 
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    ranked = [nodes[i] for i in order.tolist()]
-    return RankedList(method, tuple(map(RankEntry, ranked, scores[order].tolist(), range(1, len(ranked) + 1))))
+    return RankedList(method, list(map(nodes.__getitem__, order.tolist())), scores[order].tolist(), order)
+
+
+def _by_node(ranked: RankedList) -> tuple[list[str], np.ndarray]:
+    """The list's nodes in ascending order, and their scores in that order."""
+    import numpy as np
+
+    nodes = ranked.nodes
+    order = sorted(range(len(nodes)), key=nodes.__getitem__) if ranked.ids is None else np.argsort(ranked.ids).tolist()
+    return list(map(nodes.__getitem__, order)), np.asarray(ranked.scores, dtype=np.float64)[order]
 
 
 def mention_rank(graph: RatingGraph) -> RankedList:
     """Rank nodes by raw inbound mention count."""
+    import numpy as np
+
     if graph.node_count == 0:
         raise EmptyGraph("mention ranking needs at least one node")
-    return _ranked_list(METHOD_MENTIONS, graph.nodes, list(in_weights(graph).values()))
+    return _ranked_list(METHOD_MENTIONS, graph.nodes, np.bincount(graph.ratees, graph.weights, graph.node_count))
 
 
 def _norm(vec: np.ndarray, mode: str) -> float:
@@ -193,22 +216,19 @@ def product_rank(mentions: RankedList, liquid: RankedList) -> RankedList:
     """Combine both signals: normalized mention share times reputation score."""
     import numpy as np
 
-    inflow = {e.node: e.score for e in mentions.entries}
-    reputation = {e.node: e.score for e in liquid.entries}
-    if inflow.keys() != reputation.keys():
-        raise NodeSetMismatch(inflow.keys() - reputation.keys(), reputation.keys() - inflow.keys())
-    total = sum(e.score for e in mentions.entries)
-    nodes = sorted(inflow)
-    shares = np.array([inflow[node] for node in nodes], dtype=np.float64)
-    shares = shares / total if total > 0 else np.zeros(len(nodes))
-    return _ranked_list(METHOD_PRODUCT, nodes, shares * np.array([reputation[node] for node in nodes]))
+    (nodes, inflow), (others, reputation) = _by_node(mentions), _by_node(liquid)
+    if nodes != others:
+        raise NodeSetMismatch(set(nodes) - set(others), set(others) - set(nodes))
+    total = sum(mentions.scores)
+    shares = inflow / total if total > 0 else np.zeros(len(nodes))
+    return _ranked_list(METHOD_PRODUCT, nodes, shares * reputation)
 
 
 def top_k(ranked: RankedList, k: int) -> RankedList:
     """First min(k, N) entries, ranks preserved."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return RankedList(method=ranked.method, entries=ranked.entries[: min(k, len(ranked.entries))])
+    return RankedList(ranked.method, ranked.nodes[:k], ranked.scores[:k])
 
 
 def format_score(score: float) -> str:
@@ -217,12 +237,19 @@ def format_score(score: float) -> str:
 
 
 def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
-    rows = ([e.rank, e.node, format_score(e.score), ranked.method] for e in ranked.entries)
-    write_csv_rows(path, RANKING_CSV_HEADER, rows)
+    """One row per entry, as joined text unless a node or the method needs csv quoting."""
+    rows = zip(range(1, len(ranked.nodes) + 1), ranked.nodes, ranked.scores, repeat(ranked.method))
+    with write_atomic(path) as fh:
+        fh.write(",".join(RANKING_CSV_HEADER) + "\n")
+        if re.search(r'[,"\r\n]', "".join([ranked.method, *ranked.nodes])):  # csv.writer would quote
+            csv.writer(fh, lineterminator="\n").writerows((r, n, format_score(s), m) for r, n, s, m in rows)
+        else:
+            fh.write("".join(starmap(_RANKING_ROW, rows)))
 
 
 def read_ranking_csv(source: str | Path | IO) -> RankedList:
-    entries: list[RankEntry] = []
+    nodes: list[str] = []
+    scores: list[float] = []
     method = ""
     with read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER) as rows:
         if rows is None:
@@ -238,13 +265,14 @@ def read_ranking_csv(source: str | Path | IO) -> RankedList:
                 raise FormatError(line_no, f"bad rank/score in row: {row!r}") from None
             if not math.isfinite(score):
                 raise FormatError(line_no, f"score {raw_score!r} is not a finite number")
-            if rank != len(entries) + 1:
+            if rank != len(nodes) + 1:
                 raise FormatError(line_no, f"ranks must be consecutive from 1; got {rank}")
             if method and row_method != method:
                 raise FormatError(line_no, f"mixed methods {method!r} and {row_method!r}")
             method = row_method
-            entries.append(RankEntry(node, score, rank))
-    return RankedList(method=method, entries=tuple(entries))
+            nodes.append(node)
+            scores.append(score)
+    return RankedList(method, nodes, scores)
 
 
 def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams) -> dict:
@@ -263,4 +291,13 @@ def reputation_snapshot(state: ReputationState, window: TimeWindow, params: Rank
 def write_reputation_json(
     state: ReputationState, window: TimeWindow, params: RankParams, path: str | Path
 ) -> None:
-    write_json(path, reputation_snapshot(state, window, params))
+    """The bytes write_json gives the snapshot. With indent, json encodes in
+    Python; the flat score map, already in key order, goes through its C
+    encoder instead, with the newline and indent carried by the separator."""
+    snapshot = reputation_snapshot(state, window, params)
+    scores = json.dumps(snapshot.pop("scores"), separators=(",\n    ", ": "))
+    if scores != "{}":
+        scores = "{\n    " + scores[1:-1] + "\n  }"
+    text = json.dumps({**snapshot, "scores": None}, indent=2, sort_keys=True)
+    with write_atomic(path) as fh:
+        fh.write(text.replace('"scores": null', '"scores": ' + scores, 1) + "\n")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,33 @@ def test_ingest_lenient_skips_and_warns(workspace, capsys):
     assert "skipped" in err
     manifest = json.loads((workspace / "out" / "manifest.json").read_text())
     assert manifest["stages"]["ingest"]["malformed_count"] == 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_ingest_timestamp_range_ends_at_int64_max(workspace, capsys, strict):
+    top = 2**63 - 1
+    (workspace / "edge.jsonl").write_text(
+        f'{{"author": "a", "text": "@b", "timestamp": {top}}}\n{{"author": "b", "text": "@a", "timestamp": {top + 1}}}\n'
+    )
+    code = main(["ingest", "--input", "edge.jsonl", *(["--strict"] if strict else [])])
+    err = capsys.readouterr().err
+    reason = f"timestamp must be <= {top}"
+    if strict:
+        assert (code, err) == (2, f"error: edge.jsonl:2: {reason}\n")
+    else:
+        assert (code, err) == (0, f"warning: edge.jsonl:2: skipped ({reason})\n")
+        assert (workspace / "out" / "interactions.csv").read_text() == f"rater,ratee,timestamp\na,b,{top}\n"
+
+
+def test_rank_timestamp_range_ends_at_int64_max(workspace, capsys):
+    top = 2**63 - 1
+    (workspace / "edge.csv").write_text(f"rater,ratee,timestamp\na,b,{top}\nb,a,{top - 1}\n")
+    assert main(["rank", "--input", "edge.csv", "--window-start", str(top)]) == 0
+    assert json.loads((workspace / "out" / "manifest.json").read_text())["stages"]["rank"]["edge_count"] == 1
+    (workspace / "edge.csv").write_text(f"rater,ratee,timestamp\na,b,{top}\nb,a,{top + 1}\n")
+    capsys.readouterr()
+    assert main(["rank", "--input", "edge.csv"]) == 2
+    assert capsys.readouterr().err == f"error: edge.csv:3: timestamp must be <= {top}\n"
 
 
 def test_ingest_csv_by_suffix(workspace):
@@ -395,11 +423,12 @@ def test_deeply_nested_config_or_manifest_exits_2(workspace, capsys, name):
     "argv, text",
     [
         (["rank", "--input", "big.csv"], f"rater,ratee,timestamp\na,b,1\na,{HUGE_FIELD},2\n"),
+        (["rank", "--input", "big.csv"], f"rater,ratee,timestamp\na,b,1\na,c,{' ' * 131_072}2\n"),
         (["evaluate", "ranking.csv", "--judgments", "big.csv"], f"node,grade\na,2\n{HUGE_FIELD},1\n"),
         (["report", "big.csv"], f"rank,node,score,method\n1,a,1,m\n2,{HUGE_FIELD},0,m\n"),
         (["ingest", "--input", "big.csv", "--strict"], f'author,text,timestamp\na,x,1\nb,"{HUGE_FIELD}",2\n'),
     ],
-    ids=["interactions", "judgments", "ranking", "posts"],
+    ids=["interactions", "interaction_timestamp", "judgments", "ranking", "posts"],
 )
 def test_oversized_csv_field_exits_2_naming_line(workspace, capsys, argv, text):
     (workspace / "ranking.csv").write_text("rank,node,score,method\n1,alice,1,liquid\n")
@@ -450,11 +479,12 @@ def test_manifest_write_is_atomic(workspace, monkeypatch):
         raise OSError("disk full")
 
     # The report stage writes its chart, then fails half-way through writing
-    # the manifest (every JSON file is written by ingest.write_json).
+    # the manifest (every JSON file is written by ingest.write_json): the
+    # stage replaces none of its files, so the chart is not there either.
     monkeypatch.setattr(ingest.json, "dump", dump_then_fail)
     assert main(["report", "out/ranking_liquid.csv"]) == 1
     assert (out / "manifest.json").read_bytes() == before
-    assert {p.name for p in out.iterdir()} == names | {"chart_liquid.txt"}
+    assert {p.name for p in out.iterdir()} == names
 
 
 def _ranked_out_dir(workspace):
@@ -466,38 +496,38 @@ def _ranked_out_dir(workspace):
 
 def test_failed_ranking_csv_write_keeps_previous_bytes(workspace, monkeypatch):
     out, before = _ranked_out_dir(workspace)
-    real_format_score = rank.format_score
-    rows = []
+    real_write_atomic = rank.write_atomic
 
-    def format_then_fail(score):
-        rows.append(score)
-        if len(rows) == 2:
+    @contextmanager
+    def write_then_fail(path):
+        with real_write_atomic(path) as fh:
+            fh.write("rank,node,score,method\n1,")
             raise OSError("disk full")
-        return real_format_score(score)
 
     # ranking_mentions.csv is the first artifact rank writes; it fails at its
-    # second row, which leaves every file as it was and no temporary file.
-    monkeypatch.setattr(rank, "format_score", format_then_fail)
+    # first row, which leaves every file as it was and no temporary file.
+    monkeypatch.setattr(rank, "write_atomic", write_then_fail)
     assert main(["rank"]) == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatch):
     out, before = _ranked_out_dir(workspace)
+    written = []
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"scores": ')
-        raise OSError("disk full")
+    def write_then_fail(state, window, params, path):
+        written.extend(sorted(p.name for p in out.glob(".*.tmp")))
+        with ingest.write_atomic(path) as fh:
+            fh.write('{"scores": ')
+            raise OSError("disk full")
 
     # reputation.json is written after the three ranking CSVs, which this
-    # alpha changes, and before the manifest.
-    monkeypatch.setattr(ingest.json, "dump", dump_then_fail)
+    # alpha changes, and before the manifest: the stage fails with the new
+    # CSVs written, and every file keeps its previous bytes.
+    monkeypatch.setattr(cli, "write_reputation_json", write_then_fail)
     assert main(["rank", "--alpha", "0.9"]) == 1
-    after = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert after.keys() == before.keys()
-    assert after["ranking_liquid.csv"] != before["ranking_liquid.csv"]
-    assert after["reputation.json"] == before["reputation.json"]
-    assert after["manifest.json"] == before["manifest.json"]
+    assert len(written) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_pipeline_equals_direct_library_calls(workspace):

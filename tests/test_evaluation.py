@@ -18,16 +18,15 @@ from liquidrank.evaluation import (
     reciprocal_rank,
     write_report_json,
 )
-from liquidrank.rank import RankEntry, RankedList
+from liquidrank.rank import RankedList
 
 
 def ranking_from_flags(flags, method="test"):
     """Ranking x01..x0n with grades arranged so entry i is relevant iff flags[i]."""
-    entries = tuple(
-        RankEntry(f"x{i:03d}", float(len(flags) - i), i + 1) for i in range(len(flags))
-    )
+    nodes = [f"x{i:03d}" for i in range(len(flags))]
+    scores = [float(len(flags) - i) for i in range(len(flags))]
     grades = {f"x{i:03d}": (2 if flag else 0) for i, flag in enumerate(flags)}
-    return RankedList(method=method, entries=entries), JudgmentSet(grades=grades)
+    return RankedList(method, nodes, scores), JudgmentSet(grades=grades)
 
 
 # --- judgment sets --------------------------------------------------------
@@ -68,7 +67,7 @@ def test_precision_at_k_rejects_bad_k_and_empty_ranking():
     ranked, judgments = ranking_from_flags([True])
     with pytest.raises(ValueError):
         precision_at_k(ranked, judgments, 0)
-    empty = RankedList(method="m", entries=())
+    empty = RankedList(method="m")
     with pytest.raises(EmptyRanking):
         precision_at_k(empty, judgments, 5)
 

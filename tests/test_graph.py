@@ -10,7 +10,7 @@ from liquidrank.graph import (
     from_edge_counts,
     in_weights,
 )
-from liquidrank.ingest import InteractionRecord
+from liquidrank.ingest import InteractionColumns, InteractionRecord, read_interaction_columns
 
 
 def records(*triples):
@@ -102,3 +102,24 @@ def test_graph_is_immutable():
     with pytest.raises(AttributeError):
         graph.nodes = ()
     assert isinstance(graph, RatingGraph)
+
+
+EDGE_STAMPS = [0, 1, 2, 10**18, 2**63 - 2, 2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [(-5, 1.5), (-5, 1e19), (0, 1.0), (1, 2.5), (2, 2**63 - 1), (2**63 - 1, math.inf), (0, 9.223372036854775e18),
+     (0, 2.0**63), (2**63, 2**64), (2**63 - 1, 2**63), (-(2**70), -(2**65))],
+)
+def test_window_mask_is_exact_at_the_int64_edges(start, end):
+    window = TimeWindow(start=start, end=end)
+    kept = [ts for ts in EDGE_STAMPS if start <= ts < end]
+    text = "rater,ratee,timestamp\n" + "".join(f"a,b{k},{ts}\n" for k, ts in enumerate(EDGE_STAMPS))
+    as_lists = InteractionColumns(["a", *(f"b{k}" for k in range(len(EDGE_STAMPS)))],
+                                  [0] * len(EDGE_STAMPS), list(range(1, len(EDGE_STAMPS) + 1)), EDGE_STAMPS)
+    for columns in (read_interaction_columns(text), as_lists):
+        graph = build_graph(columns, window)
+        assert [int(ratee.removeprefix("b")) for _, ratee, _ in graph.sorted_edges()] == [
+            EDGE_STAMPS.index(ts) for ts in kept
+        ]

@@ -14,7 +14,6 @@ from liquidrank.rank import (
     METHOD_LIQUID,
     METHOD_MENTIONS,
     METHOD_PRODUCT,
-    RankEntry,
     RankParams,
     RankedList,
     ReputationState,
@@ -348,10 +347,7 @@ def test_ranking_csv_roundtrip(tmp_path):
 
 
 def test_ranking_csv_format(tmp_path):
-    ranked = RankedList(
-        method="mentions",
-        entries=(RankEntry("a", 3.0, 1), RankEntry("b", 1.0, 2)),
-    )
+    ranked = RankedList("mentions", ["a", "b"], [3.0, 1.0])
     path = tmp_path / "r.csv"
     write_ranking_csv(ranked, path)
     assert path.read_bytes() == b"rank,node,score,method\n1,a,3,mentions\n2,b,1,mentions\n"
