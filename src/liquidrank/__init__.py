@@ -34,7 +34,6 @@ from .graph import (
     TimeWindow,
     build_graph,
     from_edge_counts,
-    in_weights,
 )
 from .rank import (
     METHOD_LIQUID,
@@ -92,7 +91,6 @@ __all__ = [
     "TimeWindow",
     "build_graph",
     "from_edge_counts",
-    "in_weights",
     "METHOD_LIQUID",
     "METHOD_MENTIONS",
     "METHOD_PRODUCT",

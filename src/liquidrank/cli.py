@@ -209,26 +209,36 @@ def _load_manifest(out_dir: Path) -> dict:
 def _stage(command):
     """Run ``command(config, manifest, ...)`` as the stage named after it
     (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
-    write its artifacts and fill the manifest in, then record the command's
-    wall time and write the manifest. The stage's files replace the old ones
-    together when it ends, the manifest last; a failed stage replaces none."""
+    write its artifacts and fill its stage in, then list each artifact under
+    ``outputs`` by its file stem, record the command's wall time and write the
+    manifest. The stage's files replace the old ones together when it ends,
+    the manifest last; a failed stage replaces none and prints nothing. Once
+    they are in place it prints ``wrote <path>`` per artifact, in write order,
+    then the text the command returned, if any."""
     name = command.__name__.removeprefix("cmd_")
 
     @functools.wraps(command)
     def run(config: RunConfig, *args, **kwargs) -> int:
         start = time.perf_counter()
         manifest = _load_manifest(Path(config.out_dir))
-        with ingest_mod.write_together():
-            command(config, manifest, *args, **kwargs)
+        with ingest_mod.write_together() as held:
+            summary = command(config, manifest, *args, **kwargs)
+            artifacts = list(held)
+            for path in artifacts:
+                manifest["outputs"][path.stem] = str(path)
             manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
             ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
+        for path in artifacts:
+            print(f"wrote {path}")
+        if summary is not None:
+            print(summary)
         return EXIT_OK
 
     return run
 
 
 @_stage
-def cmd_ingest(config: RunConfig, manifest: dict) -> None:
+def cmd_ingest(config: RunConfig, manifest: dict) -> str:
     """Parse the raw dataset and write the canonical interaction CSV."""
     if not config.input:
         raise ValueError("ingest needs --input")
@@ -239,8 +249,7 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> None:
     with _reading(input_path):
         columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
 
-    interactions_path = Path(config.out_dir) / "interactions.csv"
-    ingest_mod.write_interaction_columns(columns, interactions_path)
+    ingest_mod.write_interaction_columns(columns, Path(config.out_dir) / "interactions.csv")
 
     for bad in malformed:
         print(f"warning: {input_path}:{bad.line}: skipped ({bad.reason})", file=sys.stderr)
@@ -252,8 +261,7 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> None:
         "record_count": len(columns.raters),
         "malformed_count": len(malformed),
     }
-    manifest["outputs"]["interactions"] = str(interactions_path)
-    print(f"wrote {interactions_path} ({len(columns.raters)} interactions from {posts} tweets)")
+    return f"{len(columns.raters)} interactions from {posts} tweets"
 
 
 @_stage
@@ -289,15 +297,9 @@ def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
         rankings[METHOD_PRODUCT] = product_rank(rankings[METHOD_MENTIONS], rankings[METHOD_LIQUID])
 
     for name in wanted:
-        path = out_dir / f"ranking_{name}.csv"
-        write_ranking_csv(rankings[name], path)
-        manifest["outputs"][f"ranking_{name}"] = str(path)
-        print(f"wrote {path}")
+        write_ranking_csv(rankings[name], out_dir / f"ranking_{name}.csv")
     if state is not None:
-        reputation_path = out_dir / "reputation.json"
-        write_reputation_json(state, window, params, reputation_path)
-        manifest["outputs"]["reputation"] = str(reputation_path)
-        print(f"wrote {reputation_path}")
+        write_reputation_json(state, window, params, out_dir / "reputation.json")
 
     manifest["stages"]["rank"] = {
         "config": config.echo(),
@@ -336,8 +338,8 @@ def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, Ranked
 
 
 @_stage
-def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> None:
-    """Score each ranking against the judgments; print a comparison table."""
+def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> str:
+    """Score each ranking against the judgments; return a comparison table."""
     with _reading(judgments_path):
         judgments = read_judgments_csv(judgments_path)
 
@@ -348,11 +350,8 @@ def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], ju
         except EmptyRanking as exc:
             raise EmptyRanking(f"{ranking_path}: {exc}") from exc
         reports.append(report)
-        report_path = Path(config.out_dir) / f"report_{name}.json"
-        write_report_json(report, report_path)
-        manifest["outputs"][f"report_{name}"] = str(report_path)
-
-    print(_report_table(reports))
+        write_report_json(report, Path(config.out_dir) / f"report_{name}.json")
+    return _report_table(reports)
 
 
 def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
@@ -398,11 +397,16 @@ def cmd_report(config: RunConfig, manifest: dict, ranking_paths: list[str], fmt:
     """Emit a bar-chart file per ranking CSV."""
     render = render_txt_chart if fmt == "txt" else render_svg_chart
     for name, _, ranked in _named_rankings(ranking_paths):
-        chart_path = Path(config.out_dir) / f"chart_{name}.{fmt}"
-        with ingest_mod.write_atomic(chart_path) as fh:
+        with ingest_mod.write_atomic(Path(config.out_dir) / f"chart_{name}.{fmt}") as fh:
             fh.write(render(ranked, config.k, title=name))
-        manifest["outputs"][f"chart_{name}"] = str(chart_path)
-        print(f"wrote {chart_path}")
+
+
+def number(text: str) -> int | float:
+    """An integral literal as an exact int, else a float, as JSON reads it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out-dir", dest="out_dir", help=f"directory for stage artifacts (default: {RunConfig.out_dir})"
         )
-        p.add_argument("--k", type=int, help=f"ranking cutoff (default: {RunConfig.k})")
 
     p_ingest = sub.add_parser("ingest", help="parse a tweet dataset into interactions.csv")
     add_shared(p_ingest)
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which ranking(s) to compute",
     )
     p_rank.add_argument("--window-start", dest="window_start", type=int, help="window start, epoch seconds (inclusive)")
-    p_rank.add_argument("--window-end", dest="window_end", type=float, help="window end, epoch seconds (exclusive)")
+    p_rank.add_argument("--window-end", dest="window_end", type=number, help="window end, epoch seconds (exclusive)")
     p_rank.add_argument("--epsilon", type=float, help=f"convergence threshold (default: {RunConfig.epsilon})")
     p_rank.add_argument(
         "--max-iters", dest="max_iters", type=int, help=f"iteration cap (default: {RunConfig.max_iters})"
@@ -459,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--format", dest="chart_format", choices=["txt", "svg"], help="chart format (default: txt)"
     )
+    for p in (p_eval, p_report):
+        p.add_argument("--k", type=int, help=f"ranking cutoff (default: {RunConfig.k})")
 
     return parser
 

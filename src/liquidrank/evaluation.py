@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO
 
 from .errors import EmptyRanking, FormatError
 from .ingest import read_csv_rows, write_json
@@ -54,84 +54,52 @@ class MetricReport:
     relevant_total: int
 
 
-def _check_nonempty(ranked: RankedList) -> None:
-    if not ranked.nodes:
-        raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
+def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport:
+    """All three metrics plus relevance counts, from one pass down the ranking.
 
-
-def _relevance_flags(ranked: RankedList, judgments: JudgmentSet) -> Iterator[bool]:
-    """Relevance of each entry down the ranking, judged only as far as read."""
-    return map(judgments.is_relevant, ranked.nodes)
-
-
-def _top_flags(ranked: RankedList, judgments: JudgmentSet, k: int) -> tuple[list[bool], Iterator[bool]]:
-    """Relevance of the first min(k, N) entries, and of the rest as read."""
+    Precision and average precision read the first min(k, N) entries; the
+    reciprocal rank reads on past the cutoff only as far as the first
+    relevant entry. Average precision is normalized by the number of
+    relevant entries inside the cutoff, so a cutoff list with relevance
+    packed at the top scores 1.0; it is 0 when nothing there is relevant.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_nonempty(ranked)
-    flags = _relevance_flags(ranked, judgments)
-    return list(islice(flags, k)), flags
-
-
-def _average_precision(flags: list[bool]) -> float:
+    if not ranked.nodes:
+        raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
+    flags = map(judgments.is_relevant, ranked.nodes)
+    top = list(islice(flags, k))
     hits = 0
     total = 0.0
-    for rank, relevant in enumerate(flags, start=1):
+    for rank, relevant in enumerate(top, start=1):
         if relevant:
             hits += 1
             total += hits / rank
-    if hits == 0:
-        return 0.0
-    return total / hits
-
-
-def _reciprocal_rank(flags: Iterable[bool]) -> float:
-    for rank, relevant in enumerate(flags, start=1):
-        if relevant:
-            return 1.0 / rank
-    return 0.0
+    first = next((rank for rank, relevant in enumerate(chain(top, flags), start=1) if relevant), 0)
+    return MetricReport(
+        method=ranked.method,
+        k=k,
+        precision=hits / len(top),
+        average_precision=total / hits if hits else 0.0,
+        reciprocal_rank=1.0 / first if first else 0.0,
+        relevant_found=hits,
+        relevant_total=judgments.relevant_total(),
+    )
 
 
 def precision_at_k(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
     """Fraction of the first min(k, N) entries that are relevant."""
-    top, _ = _top_flags(ranked, judgments, k)
-    return sum(top) / len(top)
+    return evaluate(ranked, judgments, k).precision
 
 
 def average_precision(ranked: RankedList, judgments: JudgmentSet, k: int) -> float:
-    """Mean of precision-at-r over the relevant ranks r within the cutoff.
-
-    Normalized by the number of relevant entries inside the cutoff, so a
-    cutoff list with relevance packed at the top scores 1.0; returns 0 when
-    nothing inside the cutoff is relevant.
-    """
-    top, _ = _top_flags(ranked, judgments, k)
-    return _average_precision(top)
+    """Mean of precision-at-r over the relevant ranks r within the cutoff."""
+    return evaluate(ranked, judgments, k).average_precision
 
 
 def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
     """1/r for the first relevant rank r; 0 when nothing is relevant."""
-    _check_nonempty(ranked)
-    return _reciprocal_rank(_relevance_flags(ranked, judgments))
-
-
-def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport:
-    """Bundle all three metrics plus relevance counts into one report.
-
-    The relevance flags are judged once: the first min(k, N) for the cutoff
-    metrics, and past the cutoff only as far as the first relevant entry.
-    """
-    top, rest = _top_flags(ranked, judgments, k)
-    found = sum(top)
-    return MetricReport(
-        method=ranked.method,
-        k=k,
-        precision=found / len(top),
-        average_precision=_average_precision(top),
-        reciprocal_rank=_reciprocal_rank(chain(top, rest)),
-        relevant_found=found,
-        relevant_total=judgments.relevant_total(),
-    )
+    return evaluate(ranked, judgments, 1).reciprocal_rank
 
 
 def read_judgments_csv(source: str | Path | IO) -> JudgmentSet:

@@ -36,9 +36,6 @@ class TimeWindow:
         if not self.start < self.end:
             raise ValueError(f"window start {self.start} must be < end {self.end}")
 
-    def contains(self, timestamp: int) -> bool:
-        return self.start <= timestamp < self.end
-
 
 UNBOUNDED = TimeWindow()
 
@@ -156,11 +153,3 @@ def from_edge_counts(
         edges.append((ids.setdefault(rater, len(ids)), ids.setdefault(ratee, len(ids)), weight))
     raters, ratees, weights = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     return _rating_graph(list(ids), raters, ratees, weights, window)
-
-
-def in_weights(graph: RatingGraph) -> dict[str, int]:
-    """Inflow totals for every node (the raw popularity signal); pure raters get 0."""
-    import numpy as np
-
-    totals = np.bincount(graph.ratees, graph.weights, graph.node_count).astype(np.int64)
-    return dict(zip(graph.nodes, totals.tolist()))

@@ -167,17 +167,18 @@ _held: ContextVar[dict[Path, Path] | None] = ContextVar("held", default=None)
 
 
 @contextmanager
-def write_together() -> Iterator[None]:
-    """Hold back the renames of write_atomic inside the block: a clean exit
-    renames each temporary file over its path, in the order first written; an
+def write_together() -> Iterator[dict[Path, Path]]:
+    """Hold back the renames of write_atomic inside the block, and yield the
+    paths held, in the order first written, each mapped to its temporary file:
+    a clean exit renames each temporary file over its path, in that order; an
     error removes them all. A nested block joins the outer one."""
-    if _held.get() is not None:
-        yield
+    if (outer := _held.get()) is not None:
+        yield outer
         return
-    held = {}
+    held: dict[Path, Path] = {}
     token = _held.set(held)
     try:
-        yield
+        yield held
         for path, temp in held.items():
             os.replace(temp, path)
     finally:
@@ -195,8 +196,8 @@ def write_atomic(path: str | Path) -> Iterator[IO[str]]:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with write_together():
-        _held.get()[path] = temp
+    with write_together() as held:
+        held[path] = temp
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             yield fh
 

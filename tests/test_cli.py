@@ -455,6 +455,29 @@ def test_config_window_end_past_float_range_is_kept_exact(workspace):
     assert manifest["stages"]["rank"]["config"]["window_end"] == 10**400
 
 
+def test_window_end_flag_and_config_file_give_the_same_rankings(workspace):
+    # 2**53 + 1 is the first integer a float cannot hold: read as a float,
+    # the bound rounds down to 2**53 and drops the rows stamped 2**53.
+    top = 2**53
+    (workspace / "edges.csv").write_text(f"rater,ratee,timestamp\na,c,1\nc,a,2\nb,a,{top}\na,b,{top}\n")
+    (workspace / "config.json").write_text(json.dumps({"window_end": top + 1}))
+    assert main(["rank", "--input", "edges.csv", "--out-dir", "flag", "--window-end", str(top + 1)]) == 0
+    assert main(["rank", "--input", "edges.csv", "--out-dir", "file", "--config", "config.json"]) == 0
+    for name in ("ranking_mentions.csv", "ranking_liquid.csv", "ranking_product.csv", "reputation.json"):
+        assert (workspace / "flag" / name).read_bytes() == (workspace / "file" / name).read_bytes(), name
+    assert sorted(read_ranking_csv("flag/ranking_mentions.csv").nodes) == ["a", "b", "c"]
+    assert json.loads((workspace / "flag" / "reputation.json").read_text())["window"]["end"] == top + 1
+
+
+@pytest.mark.parametrize("command", ["ingest", "rank"])
+def test_k_is_a_usage_error_before_evaluate(workspace, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "tweets.jsonl", "--k", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 def test_run_config_defaults_are_rank_params_defaults():
     assert RunConfig().rank_params() == RankParams()
 
@@ -511,8 +534,9 @@ def test_failed_ranking_csv_write_keeps_previous_bytes(workspace, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatch):
+def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatch, capsys):
     out, before = _ranked_out_dir(workspace)
+    capsys.readouterr()
     written = []
 
     def write_then_fail(state, window, params, path):
@@ -528,6 +552,7 @@ def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatc
     assert main(["rank", "--alpha", "0.9"]) == 1
     assert len(written) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_pipeline_equals_direct_library_calls(workspace):

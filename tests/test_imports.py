@@ -1,7 +1,7 @@
 """The package imports only the stdlib; numpy loads inside the reputation
 loop alone, so ingest runs without it, and nothing needs scipy. Each check
 runs in a fresh interpreter, since this test process has long since imported
-numpy."""
+numpy. The same way, `python -m liquidrank.cli` exits with main's return."""
 
 import os
 import subprocess
@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from liquidrank.cli import main
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+PAIRS = "rater,ratee,timestamp\na,b,1\nb,c,2\nc,a,3\na,c,4\n"
 
 NO_SCIPY = "import sys; sys.modules['scipy'] = None; from liquidrank.cli import main; sys.exit(main())"
 NO_NUMPY = "import sys; sys.modules['numpy'] = None; from liquidrank.cli import main; sys.exit(main())"
@@ -40,9 +44,7 @@ def test_import_loads_neither_numpy_nor_scipy():
 
 @pytest.mark.parametrize("argv", [["--help"], ["rank", "--input", "pairs.csv"]])
 def test_cli_runs_without_scipy(tmp_path, argv):
-    (tmp_path / "pairs.csv").write_text(
-        "rater,ratee,timestamp\na,b,1\nb,c,2\nc,a,3\na,c,4\n", encoding="utf-8"
-    )
+    (tmp_path / "pairs.csv").write_text(PAIRS, encoding="utf-8")
     result = _python("-c", NO_SCIPY, *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     if argv[0] == "rank":
@@ -61,3 +63,12 @@ def test_ingest_runs_without_numpy(tmp_path, name, text):
     result = _python("-c", NO_NUMPY, "ingest", "--input", name, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\na,b,1\n"
+
+
+@pytest.mark.parametrize("name, code", [("pairs.csv", 0), ("missing.csv", 1)])
+def test_module_exits_with_mains_return(tmp_path, monkeypatch, name, code):
+    (tmp_path / "pairs.csv").write_text(PAIRS, encoding="utf-8")
+    result = _python("-m", "liquidrank.cli", "rank", "--input", name, "--out-dir", "module", cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["rank", "--input", name, "--out-dir", "main"]) == code
+    assert result.returncode == code, result.stderr

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import dense_liquid
 
-from liquidrank.graph import from_edge_counts, in_weights
+from liquidrank.graph import from_edge_counts
 from liquidrank.rank import RankParams, liquid_rank, mention_rank, to_ranked_list
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
@@ -151,10 +151,11 @@ def test_mention_score_strictly_increases_with_new_inflow(weights, extra):
     names = sorted({n for pair in weights for n in pair})
     target, source = names[0], names[-1]
     assume(source != target)
-    before = in_weights(from_edge_counts(weights))
+    before = mention_rank(from_edge_counts(weights))
     bumped = dict(weights)
     bumped[(source, target)] = bumped.get((source, target), 0) + extra
-    after = in_weights(from_edge_counts(bumped))
+    after = mention_rank(from_edge_counts(bumped))
+    before, after = dict(zip(before.nodes, before.scores)), dict(zip(after.nodes, after.scores))
     assert after[target] == before[target] + extra
     for node in names:
         if node != target:
