@@ -323,11 +323,15 @@ def _report_table(reports: list) -> str:
 
 def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, RankedList]]:
     """Read each ranking CSV, named by its method (else its file stem) with
-    a _2, _3, ... suffix where the name is already taken."""
+    a _2, _3, ... suffix where the name is already taken. The name becomes
+    part of a file name, so a method that is not one path component is a
+    format error."""
     used: set[str] = set()
     for path in ranking_paths:
         with _reading(path):
             ranked = read_ranking_csv(path)
+        if ranked.method in (".", "..") or "/" in ranked.method or "\\" in ranked.method:
+            raise ValueError(f"{path}: method {ranked.method!r} is not a file name")
         base = name = ranked.method or Path(path).stem
         counter = 2
         while name in used:

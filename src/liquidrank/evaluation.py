@@ -106,10 +106,7 @@ def read_judgments_csv(source: str | Path | IO) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
     grades: dict[str, int] = {}
     with read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER) as rows:
-        for line_no, row in rows or ():
-            if len(row) != 2:
-                raise FormatError(line_no, f"expected 2 columns, got {len(row)}")
-            node, raw_grade = row
+        for line_no, (node, raw_grade) in rows or ():
             if node in grades:
                 raise FormatError(line_no, f"duplicate judgment for node {node!r}")
             try:

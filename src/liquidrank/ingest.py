@@ -20,7 +20,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -43,7 +42,7 @@ MAX_TIMESTAMP = 2**63 - 1  # timestamps are epoch seconds in [0, 2**63 - 1]: ran
 
 # Characters of whole lines read_interaction_columns splits in one step: a
 # larger chunk raised rank's peak RSS without making it faster, and one near
-# the csv module's field size limit would go row by row.
+# the csv module's field size limit would send every file to the second pass.
 _CHUNK_CHARS = 1 << 15
 
 _scan_json = json.JSONDecoder().scan_once
@@ -132,28 +131,32 @@ def read_csv_rows(
     ``source`` is a path, the text itself (str or bytes) or an open file;
     quoted fields may span lines. Raises FormatError at line 1 when the first
     row is not ``header``. A row the csv module cannot read (say, a field
-    over its size limit) raises FormatError at its line, or, given a
-    ``malformed`` list, is tallied there and skipped, and reading goes on at
-    the next line.
+    over its size limit) or one without a field per header column raises
+    FormatError at its line, or, given a ``malformed`` list, is tallied there
+    and skipped, and reading goes on at the next line.
     """
     with _text_lines(source) as lines:
         reader = csv.reader(lines)
-        yield _numbered_rows(reader, malformed) if _read_header(reader, header) else None
+        yield _numbered_rows(reader, len(header), malformed) if _read_header(reader, header) else None
 
 
 def _read_header(reader, header: list[str]) -> bool:
     """Read the first row: False for empty input, FormatError at line 1
     unless the row is ``header``."""
-    first = next(_numbered_rows(reader, None), None)
+    first = next(_numbered_rows(reader, None, None), None)
     if first is not None and first[1] != header:
         raise FormatError(1, f"expected header {','.join(header)!r}, got {','.join(first[1])!r}")
     return first is not None
 
 
-def _numbered_rows(reader, malformed: list[MalformedLine] | None) -> Iterator[tuple[int, list[str]]]:
+def _numbered_rows(
+    reader, width: int | None, malformed: list[MalformedLine] | None
+) -> Iterator[tuple[int, list[str]]]:
     while True:
         try:
             for row in reader:
+                if width is not None and len(row) != width:
+                    raise csv.Error(f"expected {width} columns, got {len(row)}")
                 yield reader.line_num, row
             return
         except csv.Error as exc:  # the reader goes on at the next line
@@ -271,8 +274,6 @@ def _jsonl_fields(line: str) -> tuple[object, object, object]:
 
 
 def _csv_fields(row: list[str]) -> tuple[str, str, int]:
-    if len(row) != 3:
-        raise ValueError(f"expected 3 columns, got {len(row)}")
     author, text, raw_ts = row
     try:
         return author, text, int(raw_ts)
@@ -369,31 +370,31 @@ class InteractionColumns(NamedTuple):
 
 def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColumns:
     """Load a canonical interaction CSV into columns. Always strict: this is
-    our own format. Chunks of whole lines are split in one step; a chunk that
-    step cannot take whole is read row by row, to name its first faulty line.
-    A handle is checked once, when it is first seen."""
+    our own format. A first pass splits chunks of whole lines in one step
+    each. If any chunk needs the csv module or fails a check, that pass is
+    dropped and the whole source is read again row by row, to name its first
+    faulty line. A handle is checked once, when it is first seen."""
     import numpy as np
 
+    if not isinstance(source, (str, bytes, Path)):
+        source = source.read()  # an open file, read once for both passes
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new handle gets the next id
     parts = [np.zeros((3, 0), dtype=np.int64)]
     with _text_lines(source) as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, INTERACTION_CSV_HEADER)
-        line_no = reader.line_num
-        while lines := fh.readlines(_CHUNK_CHARS):
-            part, read = _split_lines(lines, ids), len(lines)
-            if part is None:
-                part, read = _read_rows(chain(lines, fh), len(lines), line_no, ids)
+        _read_header(csv.reader(fh), INTERACTION_CSV_HEADER)
+        while (lines := fh.readlines(_CHUNK_CHARS)) and (part := _split_lines(lines, ids)) is not None:
             parts.append(part)
-            line_no += read
+    if lines:  # a chunk the split could not take
+        ids.clear()
+        with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:
+            parts = [_read_rows(rows, ids)]
     return InteractionColumns(list(ids), *np.concatenate(parts, axis=1))
 
 
 def _split_lines(lines: list[str], ids: dict[str, int]):
     """The rows of ``lines`` as a 3 x N int64 array (rater id, ratee id,
-    timestamp), or None, with ``ids`` as it was, if a line needs the csv
-    module or fails a check."""
+    timestamp), or None if a line needs the csv module or fails a check."""
     import numpy as np
 
     text = "".join(lines)
@@ -417,44 +418,31 @@ def _split_lines(lines: list[str], ids: dict[str, int]):
     pairs = pairs.reshape(n, 2).T
     handles_ok = re.fullmatch(f"(?:{_HANDLE}\n)*", "\n".join([*new, ""]))  # every new handle in one match
     if not handles_ok or (stamps < 0).any() or (pairs[0] == pairs[1]).any():
-        for handle in new:
-            ids.pop(handle, None)
         return None
     return np.vstack([pairs, stamps])
 
 
-def _read_rows(lines: Iterator[str], stop: int, line_no: int, ids: dict[str, int]):
-    """Read rows from ``lines``, which follow line ``line_no``, with the csv
-    module until one ends at or past their line ``stop``; raise FormatError at
-    the first faulty row. Returns the rows as _split_lines does, and the
-    count of lines read."""
+def _read_rows(rows: Iterator[tuple[int, list[str]]], ids: dict[str, int]):
+    """The numbered rows of read_csv_rows as _split_lines returns them;
+    raises FormatError at the first faulty row."""
     import numpy as np
 
     columns: list[list[int]] = [[], [], []]
-    reader = csv.reader(lines)
-    try:
-        for row in reader:
-            at = line_no + reader.line_num
-            if len(row) != 3:
-                raise FormatError(at, f"expected 3 columns, got {len(row)}")
-            for column, role, handle in zip(columns, ("rater", "ratee"), row):
-                if handle not in ids and not valid_handle(handle):
-                    raise FormatError(at, f"{role} {handle!r} is not a valid handle")
-                column.append(ids[handle])
-            if row[0] == row[1]:
-                raise FormatError(at, "rater and ratee must differ")
-            try:
-                ts = int(row[2])
-            except ValueError:
-                raise FormatError(at, f"timestamp {row[2]!r} is not an integer") from None
-            if not 0 <= ts <= MAX_TIMESTAMP:
-                raise FormatError(at, _range_fault(ts))
-            columns[2].append(ts)
-            if reader.line_num >= stop:
-                break
-    except csv.Error as exc:
-        raise FormatError(line_no + reader.line_num, str(exc)) from None
-    return np.array(columns, dtype=np.int64).reshape(3, -1), reader.line_num
+    for line_no, row in rows:
+        for column, role, handle in zip(columns, ("rater", "ratee"), row):
+            if handle not in ids and not valid_handle(handle):
+                raise FormatError(line_no, f"{role} {handle!r} is not a valid handle")
+            column.append(ids[handle])
+        if row[0] == row[1]:
+            raise FormatError(line_no, "rater and ratee must differ")
+        try:
+            ts = int(row[2])
+        except ValueError:
+            raise FormatError(line_no, f"timestamp {row[2]!r} is not an integer") from None
+        if not 0 <= ts <= MAX_TIMESTAMP:
+            raise FormatError(line_no, _range_fault(ts))
+        columns[2].append(ts)
+    return np.array(columns, dtype=np.int64).reshape(3, -1)
 
 
 def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:

@@ -250,13 +250,12 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
 def read_ranking_csv(source: str | Path | IO) -> RankedList:
     nodes: list[str] = []
     scores: list[float] = []
+    seen: set[str] = set()
     method = ""
     with read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER) as rows:
         if rows is None:
             raise FormatError(1, "missing ranking CSV header")
         for line_no, row in rows:
-            if len(row) != 4:
-                raise FormatError(line_no, f"expected 4 columns, got {len(row)}")
             raw_rank, node, raw_score, row_method = row
             try:
                 rank = int(raw_rank)
@@ -269,6 +268,9 @@ def read_ranking_csv(source: str | Path | IO) -> RankedList:
                 raise FormatError(line_no, f"ranks must be consecutive from 1; got {rank}")
             if method and row_method != method:
                 raise FormatError(line_no, f"mixed methods {method!r} and {row_method!r}")
+            if node in seen:
+                raise FormatError(line_no, f"duplicate entry for node {node!r}")
+            seen.add(node)
             method = row_method
             nodes.append(node)
             scores.append(score)

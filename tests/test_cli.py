@@ -254,6 +254,26 @@ def test_evaluate_duplicate_judgment_exits_2(workspace, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_evaluate_repeated_ranking_node_exits_2(workspace, capsys):
+    (workspace / "r.csv").write_text("rank,node,score,method\n1,alice,0.6,m\n2,alice,0.4,m\n")
+    assert main(["evaluate", "r.csv", "--judgments", "judgments.csv"]) == 2
+    assert "error: r.csv:3: duplicate entry for node 'alice'" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["x/../../../esc_target", "x\\..\\esc_target", "..", "."])
+@pytest.mark.parametrize("command", [["evaluate", "--judgments", "judgments.csv"], ["report"]])
+def test_ranking_method_that_is_not_a_file_name_exits_2(workspace, capsys, command, method):
+    # The method names report_<method>.json or chart_<method>.txt: with an
+    # out dir two levels down, "x/../../../esc_target" would land in workspace.
+    (workspace / "w").mkdir()
+    (workspace / "w" / "r.csv").write_text(f"rank,node,score,method\n1,alice,0.6,{method}\n2,bob,0.4,{method}\n")
+    before = sorted(workspace.rglob("*"))
+    assert main([*command, "w/r.csv", "--out-dir", "w/out"]) == 2
+    assert f"error: w/r.csv: method {method!r} is not a file name" in capsys.readouterr().err
+    assert sorted(workspace.rglob("*")) == before
+
+
 def test_evaluate_missing_judgments_exits_1(workspace):
     assert main(["ingest", "--input", "tweets.jsonl"]) == 0
     assert main(["rank"]) == 0

@@ -131,7 +131,8 @@ def test_bulk_reader_matches_the_row_loop(text, chunk):
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "interactions.csv"
         path.write_bytes(text.encode("utf-8"))
-        for source in (text, text.encode("utf-8"), path):
+        # An open file is read once and held, so both of the reader's passes see it.
+        for source in (text, text.encode("utf-8"), path, io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
             assert outcome(bulk, source) == expected
 
 
