@@ -329,8 +329,8 @@ def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, Ranked
     used: set[str] = set()
     for path in ranking_paths:
         with _reading(path):
-            ranked = read_ranking_csv(path)
-        if ranked.method in (".", "..") or "/" in ranked.method or "\\" in ranked.method:
+            ranked = read_ranking_csv(Path(path))
+        if ranked.method in (".", "..") or any(c in ranked.method for c in "/\\\0"):
             raise ValueError(f"{path}: method {ranked.method!r} is not a file name")
         base = name = ranked.method or Path(path).stem
         counter = 2
@@ -345,7 +345,7 @@ def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, Ranked
 def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> str:
     """Score each ranking against the judgments; return a comparison table."""
     with _reading(judgments_path):
-        judgments = read_judgments_csv(judgments_path)
+        judgments = read_judgments_csv(Path(judgments_path))
 
     reports = []
     for name, ranking_path, ranked in _named_rankings(ranking_paths):

@@ -102,10 +102,10 @@ def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
     return evaluate(ranked, judgments, 1).reciprocal_rank
 
 
-def read_judgments_csv(source: str | Path | IO) -> JudgmentSet:
+def read_judgments_csv(source: str | bytes | Path | IO) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
     grades: dict[str, int] = {}
-    with read_csv_rows(Path(source) if isinstance(source, str) else source, JUDGMENT_CSV_HEADER) as rows:
+    with read_csv_rows(source, JUDGMENT_CSV_HEADER) as rows:
         for line_no, (node, raw_grade) in rows or ():
             if node in grades:
                 raise FormatError(line_no, f"duplicate judgment for node {node!r}")

@@ -12,7 +12,7 @@ numpy is imported when a graph is built, not when the module is imported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .ingest import MAX_TIMESTAMP, InteractionColumns, InteractionRecord
@@ -42,7 +42,7 @@ UNBOUNDED = TimeWindow()
 
 @dataclass(frozen=True, eq=False)
 class RatingGraph:
-    """Weighted directed mention graph over a time window.
+    """Weighted directed mention graph.
 
     ``nodes`` is lexicographically sorted; that ordering anchors every
     deterministic downstream artifact. Edge k runs from node ``raters[k]``
@@ -57,7 +57,6 @@ class RatingGraph:
     raters: np.ndarray
     ratees: np.ndarray
     weights: np.ndarray
-    window: TimeWindow = field(default=UNBOUNDED)
 
     @property
     def node_count(self) -> int:
@@ -79,7 +78,7 @@ class RatingGraph:
         ]
 
 
-def _rating_graph(handles: list[str], raters, ratees, weights, window: TimeWindow) -> RatingGraph:
+def _rating_graph(handles: list[str], raters, ratees, weights) -> RatingGraph:
     """Relabel edges over ``handles`` to the sorted table of the handles they
     use and order them by (rater id, ratee id). With weights=None, repeated
     (rater, ratee) pairs are counted; otherwise every pair is distinct."""
@@ -97,7 +96,7 @@ def _rating_graph(handles: list[str], raters, ratees, weights, window: TimeWindo
     else:
         by_key = np.argsort(keys)
         keys, weights = keys[by_key], weights[by_key]
-    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1)), weights.astype(np.int64), window)
+    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1)), weights.astype(np.int64))
 
 
 def build_graph(
@@ -120,7 +119,7 @@ def build_graph(
     stamps = np.asarray(stamps, dtype=np.int64)
     kept = (stamps > _last_before(window.start)) & (stamps <= _last_before(window.end))
     raters, ratees = np.asarray(raters, dtype=np.int64)[kept], np.asarray(ratees, dtype=np.int64)[kept]
-    return _rating_graph(handles, raters, ratees, None, window)
+    return _rating_graph(handles, raters, ratees, None)
 
 
 def _last_before(bound: float) -> int:
@@ -132,14 +131,11 @@ def _last_before(bound: float) -> int:
     return min(max(math.ceil(bound) - 1, -MAX_TIMESTAMP - 1), MAX_TIMESTAMP)
 
 
-def from_edge_counts(
-    counts: Mapping[tuple[str, str], int],
-    window: TimeWindow = UNBOUNDED,
-) -> RatingGraph:
+def from_edge_counts(counts: Mapping[tuple[str, str], int]) -> RatingGraph:
     """Build a graph from pre-aggregated (rater, ratee) -> weight counts.
 
     Equivalent to build_graph on a record stream that repeats each pair
-    ``weight`` times inside the window.
+    ``weight`` times.
     """
     import numpy as np
 
@@ -152,4 +148,4 @@ def from_edge_counts(
             raise ValueError(f"edge weight must be >= 1, got {weight} for {(rater, ratee)}")
         edges.append((ids.setdefault(rater, len(ids)), ids.setdefault(ratee, len(ids)), weight))
     raters, ratees, weights = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return _rating_graph(list(ids), raters, ratees, weights, window)
+    return _rating_graph(list(ids), raters, ratees, weights)

@@ -247,12 +247,12 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
             fh.write("".join(starmap(_RANKING_ROW, rows)))
 
 
-def read_ranking_csv(source: str | Path | IO) -> RankedList:
+def read_ranking_csv(source: str | bytes | Path | IO) -> RankedList:
     nodes: list[str] = []
     scores: list[float] = []
     seen: set[str] = set()
     method = ""
-    with read_csv_rows(Path(source) if isinstance(source, str) else source, RANKING_CSV_HEADER) as rows:
+    with read_csv_rows(source, RANKING_CSV_HEADER) as rows:
         if rows is None:
             raise FormatError(1, "missing ranking CSV header")
         for line_no, row in rows:

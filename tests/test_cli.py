@@ -274,6 +274,18 @@ def test_ranking_method_that_is_not_a_file_name_exits_2(workspace, capsys, comma
     assert sorted(workspace.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--judgments", "judgments.csv"], ["report"]])
+def test_ranking_method_with_a_nul_byte_exits_2_naming_the_file(workspace, capsys, command):
+    # Python 3.10's csv module rejects the NUL itself, later versions read
+    # it into the method; either way the error names the ranking file.
+    (workspace / "w").mkdir()
+    (workspace / "w" / "r.csv").write_text("rank,node,score,method\n1,alice,0.6,x\0y\n")
+    before = sorted(workspace.rglob("*"))
+    assert main([*command, "w/r.csv", "--out-dir", "w/out"]) == 2
+    assert "error: w/r.csv" in capsys.readouterr().err
+    assert sorted(workspace.rglob("*")) == before
+
+
 def test_evaluate_missing_judgments_exits_1(workspace):
     assert main(["ingest", "--input", "tweets.jsonl"]) == 0
     assert main(["rank"]) == 0
@@ -485,7 +497,7 @@ def test_window_end_flag_and_config_file_give_the_same_rankings(workspace):
     assert main(["rank", "--input", "edges.csv", "--out-dir", "file", "--config", "config.json"]) == 0
     for name in ("ranking_mentions.csv", "ranking_liquid.csv", "ranking_product.csv", "reputation.json"):
         assert (workspace / "flag" / name).read_bytes() == (workspace / "file" / name).read_bytes(), name
-    assert sorted(read_ranking_csv("flag/ranking_mentions.csv").nodes) == ["a", "b", "c"]
+    assert sorted(read_ranking_csv(Path("flag/ranking_mentions.csv")).nodes) == ["a", "b", "c"]
     assert json.loads((workspace / "flag" / "reputation.json").read_text())["window"]["end"] == top + 1
 
 

@@ -18,7 +18,7 @@ from liquidrank.evaluation import (
     reciprocal_rank,
     write_report_json,
 )
-from liquidrank.rank import RankedList
+from liquidrank.rank import RankedList, read_ranking_csv
 
 
 def ranking_from_flags(flags, method="test"):
@@ -156,7 +156,23 @@ def test_judgments_csv_roundtrip(tmp_path):
     path = tmp_path / "judgments.csv"
     path.write_text("node,grade\n" + "".join(f"{n},{g}\n" for n, g in judgments.grades.items()), encoding="utf-8")
     assert read_judgments_csv(path).grades == judgments.grades
-    assert read_judgments_csv(str(path)).relevant_total() == 1
+    assert read_judgments_csv(path.read_text(encoding="utf-8")).relevant_total() == 1
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_judgments_csv, "node,grade\nalice,2\nbob,0\n"),
+        (read_ranking_csv, "rank,node,score,method\n1,alice,0.75,m\n2,bob,0.25,m\n"),
+    ],
+)
+def test_readers_take_text_bytes_path_or_open_file_alike(tmp_path, read, text):
+    # A str or bytes source is the text itself; a Path or an open file is read.
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as fh:
+        results = [read(text), read(text.encode("utf-8")), read(path), read(fh)]
+    assert all(asdict(r) == asdict(results[0]) for r in results)
 
 
 def test_read_judgments_csv_empty_file():

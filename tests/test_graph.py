@@ -56,7 +56,6 @@ def test_window_is_half_open():
     recs = records(("a", "b", 9), ("a", "b", 10), ("a", "b", 19), ("a", "b", 20))
     graph = build_graph(recs, window)
     assert graph.sorted_edges() == [("a", "b", 2)]
-    assert graph.window == window
 
 
 def test_window_filters_out_everything():
