@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterator
 
 from . import ingest as ingest_mod
 from .errors import DegenerateUpdate, EmptyGraph, EmptyRanking, FormatError, NodeSetMismatch
@@ -68,6 +67,8 @@ MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 TXT_BAR_WIDTH = 40
+
+NAME_MAX = 255  # the longest file name, in bytes, on Linux's common file systems
 
 # The JSON type each config-file key accepts; an integer is also a number.
 _CONFIG_KEYS = {
@@ -181,16 +182,6 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _sha256_digest(path: Path) -> str:
-    # Read in 256 KiB chunks, as hashlib.file_digest does: a chunk of 1 MiB
-    # raised a rank's peak RSS on a 0.5 MB file, more than reading it whole.
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 18), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
-
-
 def _load_manifest(out_dir: Path) -> dict:
     path = out_dir / MANIFEST_NAME
     if path.exists():
@@ -256,7 +247,7 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> str:
 
     manifest["stages"]["ingest"] = {
         "config": config.echo(),
-        "input_digest": _sha256_digest(input_path),
+        "input_digest": ingest_mod.sha256_digest(input_path),
         "tweet_count": posts,
         "record_count": len(columns.raters),
         "malformed_count": len(malformed),
@@ -269,8 +260,11 @@ def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
     """Compute the requested rankings from the interaction CSV."""
     out_dir = Path(config.out_dir)
     input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
-    with _reading(input_path):
-        columns = ingest_mod.read_interaction_columns(input_path)
+    digest = ingest_mod.sha256_digest(input_path)
+    columns = ingest_mod.read_interaction_sidecar(input_path, digest)
+    if columns is None:
+        with _reading(input_path):
+            columns = ingest_mod.read_interaction_columns(input_path)
 
     window = config.window()
     params = config.rank_params()
@@ -303,7 +297,7 @@ def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
 
     manifest["stages"]["rank"] = {
         "config": config.echo(),
-        "input_digest": _sha256_digest(input_path),
+        "input_digest": digest,
         "record_count": len(columns.raters),
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
@@ -321,12 +315,13 @@ def _report_table(reports: list) -> str:
     return "\n".join(lines)
 
 
-def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, RankedList]]:
-    """Read each ranking CSV, named by its method (else its file stem) with
-    a _2, _3, ... suffix where the name is already taken. The name becomes
-    part of a file name, so a method that is not one path component is a
-    format error."""
-    used: set[str] = set()
+def _named_rankings(ranking_paths: list[str], out_dir: str, artifact: str) -> list[tuple[str, str, RankedList, Path]]:
+    """Read every ranking CSV, named by its method (else its file stem) with
+    a _2, _3, ... suffix where the name is already taken, and give each the
+    path of its artifact, ``artifact.format(name)`` in ``out_dir``. A method
+    that is not one path component, or makes that file's name or its
+    temporary file's too long, is a format error."""
+    named, used = [], set()
     for path in ranking_paths:
         with _reading(path):
             ranked = read_ranking_csv(Path(path))
@@ -338,7 +333,11 @@ def _named_rankings(ranking_paths: list[str]) -> Iterator[tuple[str, str, Ranked
             name = f"{base}_{counter}"
             counter += 1
         used.add(name)
-        yield name, path, ranked
+        target = Path(out_dir) / artifact.format(name)
+        if len(os.fsencode(ingest_mod.temp_path(target).name)) > NAME_MAX:
+            raise ValueError(f"{path}: method {name!r} is too long for a file name")
+        named.append((name, path, ranked, target))
+    return named
 
 
 @_stage
@@ -348,13 +347,13 @@ def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], ju
         judgments = read_judgments_csv(Path(judgments_path))
 
     reports = []
-    for name, ranking_path, ranked in _named_rankings(ranking_paths):
+    for _, ranking_path, ranked, target in _named_rankings(ranking_paths, config.out_dir, "report_{}.json"):
         try:
             report = evaluate(ranked, judgments, config.k)
         except EmptyRanking as exc:
             raise EmptyRanking(f"{ranking_path}: {exc}") from exc
         reports.append(report)
-        write_report_json(report, Path(config.out_dir) / f"report_{name}.json")
+        write_report_json(report, target)
     return _report_table(reports)
 
 
@@ -400,8 +399,8 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
 def cmd_report(config: RunConfig, manifest: dict, ranking_paths: list[str], fmt: str = "txt") -> None:
     """Emit a bar-chart file per ranking CSV."""
     render = render_txt_chart if fmt == "txt" else render_svg_chart
-    for name, _, ranked in _named_rankings(ranking_paths):
-        with ingest_mod.write_atomic(Path(config.out_dir) / f"chart_{name}.{fmt}") as fh:
+    for name, _, ranked, target in _named_rankings(ranking_paths, config.out_dir, f"chart_{{}}.{fmt}"):
+        with ingest_mod.write_atomic(target) as fh:
             fh.write(render(ranked, config.k, title=name))
 
 

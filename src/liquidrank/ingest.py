@@ -12,10 +12,12 @@ lowercased here to avoid split identities.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
 import re
+import struct
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -44,6 +46,8 @@ MAX_TIMESTAMP = 2**63 - 1  # timestamps are epoch seconds in [0, 2**63 - 1]: ran
 # larger chunk raised rank's peak RSS without making it faster, and one near
 # the csv module's field size limit would send every file to the second pass.
 _CHUNK_CHARS = 1 << 15
+
+SIDECAR_TAG = "liquidrank-cols-1"  # the first field of an interaction CSV's column sidecar
 
 _scan_json = json.JSONDecoder().scan_once
 
@@ -190,19 +194,34 @@ def write_together() -> Iterator[dict[Path, Path]]:
             temp.unlink(missing_ok=True)
 
 
+def temp_path(path: Path) -> Path:
+    """The temporary file beside ``path`` that write_atomic writes first."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextmanager
-def write_atomic(path: str | Path) -> Iterator[IO[str]]:
-    """Write UTF-8 text, line endings as given, to a temporary file beside
-    ``path`` (making its directory if missing) and rename it over ``path`` on
-    a clean exit, or at the end of the write_together block around it: a run
-    that dies mid-write leaves the previous bytes and no temporary file."""
+def write_atomic(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write UTF-8 text, line endings as given, or bytes if ``binary``, to
+    temp_path(path), making its directory if missing, and rename it over
+    ``path`` on a clean exit, or at the end of the write_together block around
+    it: a run that dies mid-write leaves the previous bytes and no temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with write_together() as held:
-        held[path] = temp
-        with open(temp, "w", encoding="utf-8", newline="") as fh:
+        held[path] = temp = temp_path(path)
+        with open(temp, "wb") if binary else open(temp, "w", encoding="utf-8", newline="") as fh:
             yield fh
+
+
+def sha256_digest(path: Path) -> str:
+    """``sha256:`` and the hex digest of the file at ``path``, read in 256 KiB
+    chunks as hashlib.file_digest does: a chunk of 1 MiB raised a rank's peak
+    RSS on a 0.5 MB file, more than reading it whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def write_json(path: str | Path, obj: object) -> None:
@@ -339,9 +358,29 @@ def to_interactions(tweets: Iterable[TweetRecord]) -> list[InteractionRecord]:
 
 def write_interaction_columns(columns: InteractionColumns, path: str | Path) -> None:
     """Canonical interaction CSV: header ``rater,ratee,timestamp``, then one
-    row per interaction, in column order."""
+    row per interaction, in column order; with it, its column sidecar
+    ``<path>.cols``: a header line (SIDECAR_TAG, the CSV's and the payload's
+    sha256, the handle and row counts), then the payload: the handles a line
+    each, rater and ratee ids as little-endian int32, timestamps as int64."""
     handles, raters, ratees, stamps = columns
-    _write_interaction_rows(zip(map(handles.__getitem__, raters), map(handles.__getitem__, ratees), stamps), path)
+    with write_together() as held:
+        _write_interaction_rows(zip(map(handles.__getitem__, raters), map(handles.__getitem__, ratees), stamps), path)
+        payload = hashlib.sha256()
+        for chunk in _sidecar_payload(columns):
+            payload.update(chunk)
+        csv_digest = sha256_digest(held[Path(path)])
+        with write_atomic(f"{path}.cols", binary=True) as fh:
+            fh.write(f"{SIDECAR_TAG} {csv_digest} sha256:{payload.hexdigest()} {len(handles)} {len(raters)}\n".encode())
+            fh.writelines(_sidecar_payload(columns))
+
+
+def _sidecar_payload(columns: InteractionColumns) -> Iterator[bytes]:
+    handles, *numbers = columns
+    yield "".join(f"{handle}\n" for handle in handles).encode()
+    for code, column in zip("iiq", numbers):
+        for start in range(0, len(column), 1 << 13):  # 1 << 16 raised ingest's peak RSS by 1 MB at 77k rows
+            part = column[start : start + (1 << 13)]
+            yield struct.pack(f"<{len(part)}{code}", *part)
 
 
 def write_interactions_csv(records: Iterable[InteractionRecord], path: str | Path) -> None:
@@ -360,7 +399,7 @@ class InteractionColumns(NamedTuple):
     """Interaction rows as parallel columns: ``raters[k]`` and ``ratees[k]``
     index ``handles``, which lists each handle once in order of first sight,
     and ``timestamps[k]`` is row k's time. read_post_columns fills lists,
-    read_interaction_columns int64 arrays."""
+    read_interaction_columns and read_interaction_sidecar int64 arrays."""
 
     handles: list[str]
     raters: Sequence[int]
@@ -390,6 +429,30 @@ def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColu
         with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:
             parts = [_read_rows(rows, ids)]
     return InteractionColumns(list(ids), *np.concatenate(parts, axis=1))
+
+
+def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | None:
+    """read_interaction_columns(path), loaded from the sidecar of the CSV at
+    ``path``, whose sha256 is ``digest``; None if it is missing or not that
+    CSV's: a tag or digest differs, or counts, handles or ids do not fit."""
+    import numpy as np
+
+    try:
+        data = Path(f"{path}.cols").read_bytes()
+        start = data.index(b"\n") + 1
+        tag, csv_digest, payload_digest, count, rows = data[:start].decode().split()
+        count, rows = int(count), int(rows)
+        end = len(data) - 16 * rows  # the handle table is data[start:end]
+        handles = data[start:end].decode()
+        ids = np.frombuffer(data, "<i4", 2 * rows, end).astype(np.int64)
+        stamps = np.frombuffer(data, "<i8", rows, end + 8 * rows).astype(np.int64)
+    except (OSError, ValueError, OverflowError):
+        return None
+    if ((tag, csv_digest) != (SIDECAR_TAG, digest) or not re.fullmatch(f"(?:{_HANDLE}\n)*", handles)
+            or handles.count("\n") != count or ((ids < 0) | (ids >= count)).any()
+            or payload_digest != "sha256:" + hashlib.sha256(memoryview(data)[start:]).hexdigest()):
+        return None
+    return InteractionColumns(handles.split("\n")[:-1], ids[:rows], ids[rows:], stamps)
 
 
 def _split_lines(lines: list[str], ids: dict[str, int]):

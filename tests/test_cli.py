@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -284,6 +285,29 @@ def test_ranking_method_with_a_nul_byte_exits_2_naming_the_file(workspace, capsy
     assert main([*command, "w/r.csv", "--out-dir", "w/out"]) == 2
     assert "error: w/r.csv" in capsys.readouterr().err
     assert sorted(workspace.rglob("*")) == before
+
+
+@pytest.mark.parametrize("char", ["x", "é"])
+@pytest.mark.parametrize(
+    "command, artifact",
+    [(["evaluate", "--judgments", "judgments.csv"], "report_{}.json"), (["report"], "chart_{}.txt")],
+)
+def test_ranking_method_too_long_for_a_file_name_exits_2(workspace, capsys, command, artifact, char):
+    # An artifact is first written to .<artifact>.<pid>.tmp, which must fit
+    # in 255 bytes: the longest method that fits works, one more character
+    # exits 2 naming the ranking file, before any path is created.
+    room = 255 - len(f".{artifact.format('')}.{os.getpid()}.tmp".encode())
+    longest = char * (room // len(char.encode()))
+    (workspace / "w").mkdir()
+    rows = "rank,node,score,method\n1,alice,0.6,{0}\n2,bob,0.4,{0}\n"
+    (workspace / "w" / "long.csv").write_text(rows.format(longest + char), encoding="utf-8")
+    (workspace / "w" / "fits.csv").write_text(rows.format(longest), encoding="utf-8")
+    before = sorted(workspace.rglob("*"))
+    assert main([*command, "w/fits.csv", "w/long.csv", "--out-dir", "w/out"]) == 2
+    assert f"error: w/long.csv: method {longest + char!r} is too long for a file name" in capsys.readouterr().err
+    assert sorted(workspace.rglob("*")) == before
+    assert main([*command, "w/fits.csv", "--out-dir", "w/out"]) == 0
+    assert (workspace / "w" / "out" / artifact.format(longest)).exists()
 
 
 def test_evaluate_missing_judgments_exits_1(workspace):
