@@ -201,7 +201,7 @@ def _stage(command):
     """Run ``command(config, manifest, ...)`` as the stage named after it
     (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
     write its artifacts and fill its stage in, then list each artifact under
-    ``outputs`` by its file stem, record the command's wall time and write the
+    ``outputs`` by its file name, record the command's wall time and write the
     manifest. The stage's files replace the old ones together when it ends,
     the manifest last; a failed stage replaces none and prints nothing. Once
     they are in place it prints ``wrote <path>`` per artifact, in write order,
@@ -216,7 +216,7 @@ def _stage(command):
             summary = command(config, manifest, *args, **kwargs)
             artifacts = list(held)
             for path in artifacts:
-                manifest["outputs"][path.stem] = str(path)
+                manifest["outputs"][path.name] = str(path)
             manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
             ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
         for path in artifacts:

@@ -410,9 +410,9 @@ class InteractionColumns(NamedTuple):
 def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColumns:
     """Load a canonical interaction CSV into columns. Always strict: this is
     our own format. A first pass splits chunks of whole lines in one step
-    each. If any chunk needs the csv module or fails a check, that pass is
-    dropped and the whole source is read again row by row, to name its first
-    faulty line. A handle is checked once, when it is first seen."""
+    each. If any chunk needs the csv module, or the columns of the whole pass
+    fail _valid_columns, that pass is dropped and the source is read again
+    row by row, to name its first faulty line."""
     import numpy as np
 
     if not isinstance(source, (str, bytes, Path)):
@@ -424,17 +424,16 @@ def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColu
         _read_header(csv.reader(fh), INTERACTION_CSV_HEADER)
         while (lines := fh.readlines(_CHUNK_CHARS)) and (part := _split_lines(lines, ids)) is not None:
             parts.append(part)
-    if lines:  # a chunk the split could not take
-        ids.clear()
-        with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:
-            parts = [_read_rows(rows, ids)]
-    return InteractionColumns(list(ids), *np.concatenate(parts, axis=1))
+    if not lines and _valid_columns(columns := InteractionColumns(list(ids), *np.concatenate(parts, axis=1))):
+        return columns
+    with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:  # to name the first faulty line
+        return _read_rows(rows)
 
 
 def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | None:
     """read_interaction_columns(path), loaded from the sidecar of the CSV at
     ``path``, whose sha256 is ``digest``; None if it is missing or not that
-    CSV's: a tag or digest differs, or counts, handles or ids do not fit."""
+    CSV's: a tag, digest or count differs, or the columns fail _valid_columns."""
     import numpy as np
 
     try:
@@ -443,21 +442,31 @@ def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | No
         tag, csv_digest, payload_digest, count, rows = data[:start].decode().split()
         count, rows = int(count), int(rows)
         end = len(data) - 16 * rows  # the handle table is data[start:end]
-        handles = data[start:end].decode()
+        *handles, last = data[start:end].decode().split("\n")  # each handle ends in "\n": last is ""
         ids = np.frombuffer(data, "<i4", 2 * rows, end).astype(np.int64)
         stamps = np.frombuffer(data, "<i8", rows, end + 8 * rows).astype(np.int64)
     except (OSError, ValueError, OverflowError):
         return None
-    if ((tag, csv_digest) != (SIDECAR_TAG, digest) or not re.fullmatch(f"(?:{_HANDLE}\n)*", handles)
-            or handles.count("\n") != count or ((ids < 0) | (ids >= count)).any()
-            or payload_digest != "sha256:" + hashlib.sha256(memoryview(data)[start:]).hexdigest()):
-        return None
-    return InteractionColumns(handles.split("\n")[:-1], ids[:rows], ids[rows:], stamps)
+    columns = InteractionColumns(handles, ids[:rows], ids[rows:], stamps)
+    fits = (tag, csv_digest, last, len(handles)) == (SIDECAR_TAG, digest, "", count)
+    fits = fits and payload_digest == "sha256:" + hashlib.sha256(memoryview(data)[start:]).hexdigest()
+    return columns if fits and _valid_columns(columns) else None
+
+
+def _valid_columns(columns: InteractionColumns) -> bool:
+    """The one validity test of both bulk readers: distinct handles that follow the
+    handle rule, ids inside the table, no self-rating row, no timestamp below 0."""
+    handles, raters, ratees, stamps = columns
+    return bool(
+        len(set(handles)) == len(handles) and re.fullmatch(f"(?:{_HANDLE}\n)*", "\n".join([*handles, ""]))
+        and all(0 <= ids.min(initial=0) and ids.max(initial=-1) < len(handles) for ids in (raters, ratees))
+        and not (raters == ratees).any() and stamps.min(initial=0) >= 0
+    )
 
 
 def _split_lines(lines: list[str], ids: dict[str, int]):
-    """The rows of ``lines`` as a 3 x N int64 array (rater id, ratee id,
-    timestamp), or None if a line needs the csv module or fails a check."""
+    """The rows of ``lines`` as a 3 x N int64 array (rater id, ratee id, timestamp), handles interned
+    in ``ids``; None if a line needs the csv module or is not two fields and an int64 timestamp."""
     import numpy as np
 
     text = "".join(lines)
@@ -469,33 +478,27 @@ def _split_lines(lines: list[str], ids: dict[str, int]):
     n = len(lines)
     if len(fields) != 3 * n:
         return None
-    stamps = fields[2::3]
-    del fields[2::3]
     try:  # int() takes the "\n" as whitespace, like any other around the digits
-        stamps = np.fromiter(map(int, stamps), np.int64, n)
+        stamps = np.fromiter(map(int, fields[2::3]), np.int64, n)
     except (ValueError, OverflowError):
         return None
-    seen = len(ids)
-    pairs = np.fromiter(map(ids.__getitem__, fields), np.int64, 2 * n)
-    new = [fields[k] for k in np.flatnonzero(pairs >= seen).tolist()]  # each field holding a new handle
-    pairs = pairs.reshape(n, 2).T
-    handles_ok = re.fullmatch(f"(?:{_HANDLE}\n)*", "\n".join([*new, ""]))  # every new handle in one match
-    if not handles_ok or (stamps < 0).any() or (pairs[0] == pairs[1]).any():
-        return None
+    del fields[2::3]
+    pairs = np.fromiter(map(ids.__getitem__, fields), np.int64, 2 * n).reshape(n, 2).T
     return np.vstack([pairs, stamps])
 
 
-def _read_rows(rows: Iterator[tuple[int, list[str]]], ids: dict[str, int]):
-    """The numbered rows of read_csv_rows as _split_lines returns them;
-    raises FormatError at the first faulty row."""
+def _read_rows(rows: Iterator[tuple[int, list[str]]]) -> InteractionColumns:
+    """The numbered rows of read_csv_rows as columns; raises FormatError at
+    the first faulty row."""
     import numpy as np
 
+    ids: dict[str, int] = {}
     columns: list[list[int]] = [[], [], []]
     for line_no, row in rows:
         for column, role, handle in zip(columns, ("rater", "ratee"), row):
             if handle not in ids and not valid_handle(handle):
                 raise FormatError(line_no, f"{role} {handle!r} is not a valid handle")
-            column.append(ids[handle])
+            column.append(ids.setdefault(handle, len(ids)))
         if row[0] == row[1]:
             raise FormatError(line_no, "rater and ratee must differ")
         try:
@@ -505,7 +508,7 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], ids: dict[str, int]):
         if not 0 <= ts <= MAX_TIMESTAMP:
             raise FormatError(line_no, _range_fault(ts))
         columns[2].append(ts)
-    return np.array(columns, dtype=np.int64).reshape(3, -1)
+    return InteractionColumns(list(ids), *np.array(columns, dtype=np.int64).reshape(3, -1))
 
 
 def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:

@@ -39,8 +39,10 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import repeat, starmap
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
@@ -88,14 +90,20 @@ class RankParams:
             raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReputationState:
-    """Final score vector plus convergence diagnostics."""
+    """The graph's sorted ``nodes``, their float64 scores ``values`` and convergence diagnostics."""
 
-    scores: dict[str, float]
+    nodes: tuple[str, ...]
+    values: np.ndarray
     iterations: int
     final_delta: float
     converged: bool
+
+    @cached_property
+    def scores(self) -> Mapping[str, float]:
+        """Each node's score, in node order: a read-only view built on first read."""
+        return MappingProxyType(dict(zip(self.nodes, self.values.tolist())))
 
 
 class RankEntry(NamedTuple):
@@ -122,20 +130,14 @@ class RankedList:
         return tuple(map(RankEntry, self.nodes, self.scores, range(1, len(self.nodes) + 1)))
 
 
-def ranked_list_from_scores(method: str, scores: Mapping[str, float]) -> RankedList:
-    nodes = sorted(scores)
-    return _ranked_list(method, nodes, [scores[node] for node in nodes])
-
-
-def _ranked_list(method: str, nodes: Sequence[str], scores: Sequence[float]) -> RankedList:
-    """Rank ``nodes``, which must be sorted, by their aligned ``scores``.
+def _ranked_list(method: str, nodes: Sequence[str], scores: np.ndarray) -> RankedList:
+    """Rank ``nodes``, which must be sorted, by their aligned float64 ``scores``.
 
     A stable argsort of -score over the sorted nodes breaks ties by node,
     the same order as sorting on the key (-score, node).
     """
     import numpy as np
 
-    scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
     return RankedList(method, list(map(nodes.__getitem__, order.tolist())), scores[order].tolist(), order)
 
@@ -200,16 +202,11 @@ def liquid_rank(graph: RatingGraph, params: RankParams = RankParams()) -> Reputa
         scores = new_scores
         iterations += 1
 
-    return ReputationState(
-        scores=dict(zip(graph.nodes, scores.tolist())),
-        iterations=iterations,
-        final_delta=delta,
-        converged=converged,
-    )
+    return ReputationState(graph.nodes, scores, iterations, delta, converged)
 
 
 def to_ranked_list(state: ReputationState) -> RankedList:
-    return ranked_list_from_scores(METHOD_LIQUID, state.scores)
+    return _ranked_list(METHOD_LIQUID, state.nodes, state.values)
 
 
 def product_rank(mentions: RankedList, liquid: RankedList) -> RankedList:
@@ -286,7 +283,7 @@ def reputation_snapshot(state: ReputationState, window: TimeWindow, params: Rank
         "iterations": state.iterations,
         "final_delta": state.final_delta,
         "converged": state.converged,
-        "scores": {node: state.scores[node] for node in sorted(state.scores)},
+        "scores": dict(state.scores),
     }
 
 

@@ -59,7 +59,7 @@ def test_ingest_writes_interactions_and_manifest(workspace, capsys):
     assert stage["record_count"] == 6
     assert stage["malformed_count"] == 0
     assert stage["input_digest"].startswith("sha256:")
-    assert manifest["outputs"]["interactions"] == "out/interactions.csv"
+    assert manifest["outputs"]["interactions.csv"] == "out/interactions.csv"
     assert "ingest" in manifest["timings_ms"]
 
 
@@ -335,6 +335,18 @@ def test_report_svg_chart(workspace):
     assert svg.startswith("<svg ")
     assert svg.count("<rect ") == 3
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_manifest_lists_every_output_by_file_name(workspace):
+    # Keyed by stem, the svg chart would replace the txt one, and the sidecar
+    # would take the key "interactions.csv".
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    assert main(["rank"]) == 0
+    assert main(["report", "out/ranking_liquid.csv"]) == 0
+    assert main(["report", "out/ranking_liquid.csv", "--format", "svg"]) == 0
+    outputs = json.loads((workspace / "out" / "manifest.json").read_text())["outputs"]
+    names = ["interactions.csv", "interactions.csv.cols", "chart_liquid.txt", "chart_liquid.svg"]
+    assert {name: outputs.get(name) for name in names} == {name: f"out/{name}" for name in names}
 
 
 def test_report_empty_ranking_gives_header_only_chart(workspace):

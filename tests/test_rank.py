@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -21,7 +22,6 @@ from liquidrank.rank import (
     liquid_rank,
     mention_rank,
     product_rank,
-    ranked_list_from_scores,
     read_ranking_csv,
     reputation_snapshot,
     to_ranked_list,
@@ -30,6 +30,19 @@ from liquidrank.rank import (
 )
 
 TWO_CYCLE = {("a", "b"): 1, ("b", "a"): 3}
+
+
+def ranked_list_from_scores(method, scores):
+    """The reference ranking of a score map: its nodes sorted on (-score, node)."""
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return RankedList(method, [node for node, _ in ranked], [score for _, score in ranked])
+
+
+def state_from_scores(scores, iterations=7, final_delta=0.0, converged=True):
+    """A ReputationState holding ``scores``, its nodes sorted as a graph's are."""
+    nodes = tuple(sorted(scores))
+    values = np.array([scores[node] for node in nodes], dtype=np.float64)
+    return ReputationState(nodes, values, iterations, final_delta, converged)
 
 
 def edgeless(*nodes):
@@ -235,8 +248,23 @@ def test_converged_means_fixed_point_at_scale():
 
 
 def test_reputation_state_is_plain_data():
-    state = ReputationState(scores={"a": 1.0}, iterations=3, final_delta=0.0, converged=True)
+    state = state_from_scores({"a": 1.0}, iterations=3)
     assert state.scores["a"] == 1.0
+
+
+def test_reputation_scores_are_a_read_only_view_in_node_order():
+    # Nodes first seen out of order: the graph sorts them, and the view follows.
+    graph = from_edge_counts({("d", "b"): 1, ("c", "a"): 1, ("b", "a"): 2, ("a", "c"): 3})
+    state = liquid_rank(graph)
+    assert list(state.scores) == list(graph.nodes) == ["a", "b", "c", "d"]
+    # The dict liquid_rank returned before its scores became an array.
+    assert state.scores == dict(zip(graph.nodes, state.values.tolist()))
+    assert all(type(score) is float for score in state.scores.values())
+    assert state.scores is state.scores
+    with pytest.raises(TypeError):
+        state.scores["a"] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.scores = {}
 
 
 def _csr_liquid(counts, params):
@@ -293,8 +321,9 @@ def test_liquid_rank_equals_csr_product_bit_for_bit(seed, norm_mode):
 # --- ranked lists and the product method ---------------------------------
 
 
-def test_ranked_list_from_scores_sorts_and_ranks():
-    ranked = ranked_list_from_scores("m", {"x": 0.2, "y": 0.5, "z": 0.2})
+def test_to_ranked_list_sorts_and_ranks():
+    ranked = to_ranked_list(state_from_scores({"x": 0.2, "y": 0.5, "z": 0.2}))
+    assert ranked.method == METHOD_LIQUID
     assert [e.node for e in ranked.entries] == ["y", "x", "z"]
     assert [e.rank for e in ranked.entries] == [1, 2, 3]
     assert [e.score for e in ranked.entries] == [0.5, 0.2, 0.2]

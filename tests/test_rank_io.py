@@ -23,13 +23,13 @@ from liquidrank.ingest import HANDLE_RE, MAX_TIMESTAMP, read_interaction_columns
 from liquidrank.rank import (
     RANKING_CSV_HEADER,
     RankParams,
-    ReputationState,
     format_score,
-    ranked_list_from_scores,
     reputation_snapshot,
     write_ranking_csv,
     write_reputation_json,
 )
+
+from test_rank import ranked_list_from_scores, state_from_scores
 
 HEADER = ["rater", "ratee", "timestamp"]
 
@@ -189,7 +189,7 @@ def test_ranking_csv_bytes_equal_csv_writer(scores, method):
     delta=SCORES,
 )
 def test_reputation_json_bytes_equal_json_dump(scores, end, delta):
-    state = ReputationState(scores=scores, iterations=7, final_delta=delta, converged=True)
+    state = state_from_scores(scores, final_delta=delta)
     window, params = TimeWindow(start=-5, end=end), RankParams(alpha=0.85)
     expected = json.dumps(reputation_snapshot(state, window, params), indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from oracle import dense_liquid
 
 from liquidrank.graph import from_edge_counts
-from liquidrank.rank import RankParams, liquid_rank, mention_rank, to_ranked_list
+from liquidrank.rank import METHOD_LIQUID, RankParams, liquid_rank, mention_rank, to_ranked_list
+
+from test_rank import ranked_list_from_scores
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -106,6 +108,14 @@ def test_liquid_rank_is_permutation_equivariant(data):
     moved = liquid_rank(from_edge_counts(relabeled), params)
     for node, score in base.scores.items():
         assert abs(moved.scores[mapping[node]] - score) <= 1e-12
+
+
+@COMMON
+@given(weights=weight_maps(), mode=st.sampled_from(["l1", "max"]), max_iters=st.integers(1, 30))
+def test_to_ranked_list_equals_the_sorted_reference(weights, mode, max_iters):
+    # Few iterations leave many exact ties, which the node order must break.
+    state = liquid_rank(from_edge_counts(weights), RankParams(max_iters=max_iters, norm_mode=mode))
+    assert to_ranked_list(state) == ranked_list_from_scores(METHOD_LIQUID, state.scores)
 
 
 @COMMON

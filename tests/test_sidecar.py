@@ -1,10 +1,12 @@
 """The column sidecar that ingest writes beside interactions.csv: rank loads
 from it the very columns the CSV reader returns, and passes over a sidecar
-that is stale, truncated, foreign or corrupt for the CSV, with the same
-artifacts and never a traceback."""
+that is stale, truncated, foreign or corrupt for the CSV, or whose columns
+fail the CSV's own checks, with the same artifacts and never a traceback."""
 
+import hashlib
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from liquidrank.cli import main
 from liquidrank.ingest import (
     MAX_TIMESTAMP,
+    SIDECAR_TAG,
     read_interaction_columns,
     read_interaction_sidecar,
     read_post_columns,
@@ -109,12 +112,36 @@ def miscount_rows(sidecar: Path) -> None:
     sidecar.write_bytes(b" ".join([*fields, b"%d" % (int(rows) - 1)]) + b"\n" + payload)
 
 
+def reseal(csv: Path, change) -> None:
+    """Write the sidecar of ``csv`` again, holding the CSV's columns as
+    ``change`` returns them, with its tag, digests and counts all correct."""
+    handles, *numbers = read_interaction_columns(csv)
+    handles, raters, ratees, stamps = change(handles, *(column.tolist() for column in numbers))
+    payload = "".join(f"{handle}\n" for handle in handles).encode()
+    payload += struct.pack(f"<{len(raters) + len(ratees)}i{len(stamps)}q", *raters, *ratees, *stamps)
+    digests = f"{sha256_digest(csv)} sha256:{hashlib.sha256(payload).hexdigest()}"
+    Path(f"{csv}.cols").write_bytes(f"{SIDECAR_TAG} {digests} {len(handles)} {len(raters)}\n".encode() + payload)
+
+
+def test_reseal_writes_what_ingest_does(ingested):
+    cols = Path("out/interactions.csv.cols")
+    written = cols.read_bytes()
+    reseal(Path("out/interactions.csv"), lambda *columns: columns)
+    assert cols.read_bytes() == written
+
+
 BREAKS = {
     "stale": lambda csv, cols: csv.write_text(csv.read_text() + "dave,alice,600\n"),
     "truncated": lambda csv, cols: cols.write_bytes(cols.read_bytes()[:-5]),
     "foreign": lambda csv, cols: shutil.copyfile("other/interactions.csv.cols", cols),
     "flipped": lambda csv, cols: flip_payload_byte(cols),
     "miscounted": lambda csv, cols: miscount_rows(cols),
+    # Resealed, with the right digests and counts, over columns no CSV row
+    # gives: the first row's rater named by a second copy of its handle, the
+    # first row rating its own rater, the first row's timestamp below 0.
+    "repeated_handle": lambda csv, cols: reseal(csv, lambda h, r, e, t: ([*h, h[r[0]]], [len(h), *r[1:]], e, t)),
+    "self_rating": lambda csv, cols: reseal(csv, lambda h, r, e, t: (h, r, [r[0], *e[1:]], t)),
+    "negative_timestamp": lambda csv, cols: reseal(csv, lambda h, r, e, t: (h, r, e, [-2, *t[1:]])),
 }
 
 
