@@ -5,9 +5,8 @@ recomputed under new parameters without re-parsing the raw dataset. Data
 artifacts are byte-deterministic given identical inputs and config; wall
 clock timings live only in the manifest.
 
-Exit codes: 0 success, 1 I/O failure, 2 input-format/validation error,
-3 domain error (empty graph, vanished inflow, empty ranking); `_EXIT_CODES`
-is the one table that maps exceptions onto them.
+Exit code 0 is success; `_EXIT_CODES` is the one table that maps each
+failure onto its code.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 from . import ingest as ingest_mod
-from .errors import DegenerateUpdate, EmptyGraph, EmptyRanking, FormatError, NodeSetMismatch
+from .errors import DomainError, FormatError
 from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
 from .ingest import POST_FORMATS
@@ -52,21 +50,21 @@ EXIT_FORMAT = 2
 EXIT_DOMAIN = 3
 
 # Every exception the CLI turns into a one-line error, with its exit code.
-# UnicodeDecodeError is a ValueError, so undecodable input exits 2.
-_EXIT_CODES = {
-    OSError: EXIT_IO,
-    FormatError: EXIT_FORMAT,
-    ValueError: EXIT_FORMAT,
-    EmptyGraph: EXIT_DOMAIN,
-    DegenerateUpdate: EXIT_DOMAIN,
-    EmptyRanking: EXIT_DOMAIN,
-    NodeSetMismatch: EXIT_DOMAIN,
-}
+# FormatError and UnicodeDecodeError are ValueErrors, so they exit 2.
+_EXIT_CODES = {OSError: EXIT_IO, ValueError: EXIT_FORMAT, DomainError: EXIT_DOMAIN}
 
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 TXT_BAR_WIDTH = 40
+
+# Text as SVG character data: "&", "<" and ">" escaped, and each code point
+# XML 1.0 forbids replaced by U+FFFD. A table, not xml.sax.saxutils.escape:
+# that module imports urllib.request, which added 3 MB to every command's RSS.
+_XML_TEXT = {
+    **dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd"),
+    **str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"}),
+}
 
 NAME_MAX = 255  # the longest file name, in bytes, on Linux's common file systems
 
@@ -140,11 +138,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
-        with _reading(path):
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path}: expected a JSON object")
-        for key, value in raw.items():
+        for key, value in ingest_mod.read_json_object(path).items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config file {path}: unknown key {key!r}")
             expected = _CONFIG_KEYS[key]
@@ -165,35 +159,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-@contextmanager
-def _reading(path: str | Path):
-    """Name ``path`` in every format error raised while reading it."""
-    try:
-        yield
-    except FormatError as exc:
-        raise FormatError(exc.line, exc.reason, source=str(path)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.lineno, f"invalid JSON ({exc.msg})", source=str(path)) from exc
-    except RecursionError:  # json, on a value nested past the recursion limit
-        raise FormatError(1, "invalid JSON (nested too deeply)", source=str(path)) from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except ValueError as exc:  # say, an integer past Python's digit limit
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _load_manifest(out_dir: Path) -> dict:
     path = out_dir / MANIFEST_NAME
-    if path.exists():
-        with _reading(path):
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(manifest, dict):
-            raise FormatError(1, "expected a JSON object", source=str(path))
-    else:
-        manifest = {}
+    manifest = ingest_mod.read_json_object(path) if path.exists() else {}
     manifest["schema_version"] = MANIFEST_SCHEMA_VERSION
     for section in ("stages", "outputs", "timings_ms"):
-        manifest.setdefault(section, {})
+        if not isinstance(manifest.setdefault(section, {}), dict):
+            raise FormatError(1, f"{section!r} must be a JSON object", str(path))
     return manifest
 
 
@@ -237,8 +209,7 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> str:
     fmt = config.format
     if fmt is None:
         fmt = "csv" if input_path.suffix == ".csv" else "jsonl"
-    with _reading(input_path):
-        columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
+    columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
 
     ingest_mod.write_interaction_columns(columns, Path(config.out_dir) / "interactions.csv")
 
@@ -263,8 +234,7 @@ def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
     digest = ingest_mod.sha256_digest(input_path)
     columns = ingest_mod.read_interaction_sidecar(input_path, digest)
     if columns is None:
-        with _reading(input_path):
-            columns = ingest_mod.read_interaction_columns(input_path)
+        columns = ingest_mod.read_interaction_columns(input_path)
 
     window = config.window()
     params = config.rank_params()
@@ -323,8 +293,7 @@ def _named_rankings(ranking_paths: list[str], out_dir: str, artifact: str) -> li
     temporary file's too long, is a format error."""
     named, used = [], set()
     for path in ranking_paths:
-        with _reading(path):
-            ranked = read_ranking_csv(Path(path))
+        ranked = read_ranking_csv(Path(path))
         if ranked.method in (".", "..") or any(c in ranked.method for c in "/\\\0"):
             raise ValueError(f"{path}: method {ranked.method!r} is not a file name")
         base = name = ranked.method or Path(path).stem
@@ -343,15 +312,14 @@ def _named_rankings(ranking_paths: list[str], out_dir: str, artifact: str) -> li
 @_stage
 def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> str:
     """Score each ranking against the judgments; return a comparison table."""
-    with _reading(judgments_path):
-        judgments = read_judgments_csv(Path(judgments_path))
+    judgments = read_judgments_csv(Path(judgments_path))
 
     reports = []
     for _, ranking_path, ranked, target in _named_rankings(ranking_paths, config.out_dir, "report_{}.json"):
         try:
             report = evaluate(ranked, judgments, config.k)
-        except EmptyRanking as exc:
-            raise EmptyRanking(f"{ranking_path}: {exc}") from exc
+        except DomainError as exc:
+            raise DomainError(f"{ranking_path}: {exc}") from exc
         reports.append(report)
         write_report_json(report, target)
     return _report_table(reports)
@@ -373,9 +341,11 @@ def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> st
 
 
 def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
-    """Self-contained SVG bar chart; no rendering dependencies."""
+    """Self-contained SVG bar chart; no rendering dependencies. Text is
+    escaped, so any node name or title gives well-formed XML; a bar is at
+    least 0 wide."""
     rows = top_k(ranked, k).entries
-    name = title or ranked.method or "ranking"
+    name = (title or ranked.method or "ranking").translate(_XML_TEXT)
     bar_h, gap, label_w, chart_w, value_w = 16, 6, 170, 400, 120
     width = label_w + chart_w + value_w + 30
     height = 40 + len(rows) * (bar_h + gap)
@@ -387,8 +357,8 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     ]
     for idx, e in enumerate(rows):
         y = 34 + idx * (bar_h + gap)
-        bar = chart_w * e.score / max_score if max_score > 0 else 0.0
-        parts.append(f'<text x="10" y="{y + 12}">{e.rank}. {e.node}</text>')
+        bar = max(0.0, chart_w * e.score / max_score) if max_score > 0 else 0.0
+        parts.append(f'<text x="10" y="{y + 12}">{e.rank}. {e.node.translate(_XML_TEXT)}</text>')
         parts.append(f'<rect x="{label_w}" y="{y}" width="{bar:.2f}" height="{bar_h}" fill="#4878a8"/>')
         parts.append(f'<text x="{label_w + chart_w + 10}" y="{y + 12}">{format_score(e.score)}</text>')
     parts.append("</svg>")

@@ -1,15 +1,15 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes (`cli._EXIT_CODES`): format/validation
-problems exit 2, domain errors (empty graph, vanished inflow, empty ranking,
-mismatched node sets) exit 3, I/O failures exit 1.
+The CLI maps each onto an exit code through one table, `cli._EXIT_CODES`:
+a FormatError is a ValueError, and every domain error is a DomainError.
 """
 
 from __future__ import annotations
 
 
-class FormatError(Exception):
-    """Malformed input file content. Carries the offending line number."""
+class FormatError(ValueError):
+    """Malformed input file content. Carries the offending line number, and
+    the file's name when the reader opened it."""
 
     def __init__(self, line: int, reason: str, source: str | None = None):
         self.line = line
@@ -19,15 +19,19 @@ class FormatError(Exception):
         super().__init__(f"{where}: {reason}")
 
 
-class EmptyGraph(Exception):
+class DomainError(Exception):
+    """Well-formed input that has no meaningful result."""
+
+
+class EmptyGraph(DomainError):
     """Ranking requested on a graph without the required nodes/edges."""
 
 
-class DegenerateUpdate(Exception):
+class DegenerateUpdate(DomainError):
     """Reputation inflow vanished entirely, so no meaningful update exists."""
 
 
-class NodeSetMismatch(Exception):
+class NodeSetMismatch(DomainError):
     """Two rankings that must cover the same nodes do not."""
 
     def __init__(self, only_in_first: set[str], only_in_second: set[str]):
@@ -40,5 +44,5 @@ class NodeSetMismatch(Exception):
         )
 
 
-class EmptyRanking(Exception):
+class EmptyRanking(DomainError):
     """Metric requested on a ranking with no entries."""

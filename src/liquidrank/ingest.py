@@ -17,7 +17,8 @@ import io
 import json
 import os
 import re
-import struct
+import sys
+from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -113,10 +114,18 @@ def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
     line; the text itself (str or bytes) or an open file's whole content is
     split in memory. Lines end only at "\n", "\r\n" or a lone "\r", never at
     the other separators str.splitlines knows, such as U+2028, which JSON
-    allows inside strings."""
+    allows inside strings. A path is named in each FormatError and decoding
+    error raised while it is open."""
     if isinstance(source, Path):
-        with open(source, encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            with open(source, encoding="utf-8", newline="") as fh:
+                yield fh
+        except FormatError as exc:
+            raise FormatError(exc.line, exc.reason, str(source)) from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from exc
+        except ValueError as exc:  # say, an integer past Python's digit limit
+            raise ValueError(f"{source}: {exc}") from exc
     else:
         data = source if isinstance(source, (str, bytes)) else source.read()
         yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
@@ -231,6 +240,21 @@ def write_json(path: str | Path, obj: object) -> None:
         fh.write("\n")
 
 
+def read_json_object(path: Path) -> dict:
+    """The JSON object held by the file at ``path``; FormatError if it holds
+    anything else."""
+    with _text_lines(path) as fh:
+        try:  # line numbers count "\r\n" and a lone "\r" as one ending, as elsewhere
+            obj = json.loads(fh.read().replace("\r\n", "\n").replace("\r", "\n"))
+        except json.JSONDecodeError as exc:
+            raise FormatError(exc.lineno, f"invalid JSON ({exc.msg})") from exc
+        except RecursionError:  # json, on a value nested past the recursion limit
+            raise FormatError(1, "invalid JSON (nested too deeply)") from None
+        if not isinstance(obj, dict):
+            raise FormatError(1, "expected a JSON object")
+    return obj
+
+
 def _posts(
     source: str | bytes | Path | IO, fmt: str, strict: bool, malformed: list[MalformedLine]
 ) -> Iterator[tuple[str, str, int]]:
@@ -328,8 +352,9 @@ def read_post_columns(
     its interactions as to_interactions expands them, in one pass with no
     per-post objects. Returns the columns, the count of valid posts and the
     malformed lines skipped. Handles are in order of first sight, as
-    read_interaction_columns lists them."""
-    columns = InteractionColumns([], [], [], [])
+    read_interaction_columns lists them; the ids are an int32 array("i"), the
+    timestamps an int64 array("q")."""
+    columns = InteractionColumns([], array("i"), array("i"), array("q"))
     handles, raters, ratees, stamps = columns
     ids: dict[str, int] = {}
     malformed: list[MalformedLine] = []
@@ -365,22 +390,18 @@ def write_interaction_columns(columns: InteractionColumns, path: str | Path) -> 
     handles, raters, ratees, stamps = columns
     with write_together() as held:
         _write_interaction_rows(zip(map(handles.__getitem__, raters), map(handles.__getitem__, ratees), stamps), path)
-        payload = hashlib.sha256()
-        for chunk in _sidecar_payload(columns):
-            payload.update(chunk)
+        payload = ["".join(f"{handle}\n" for handle in handles).encode()]
+        for code, column in zip("iiq", (raters, ratees, stamps)):
+            payload.append(array(code, column))  # a copy: the caller's column is never swapped
+            if sys.byteorder == "big":
+                payload[-1].byteswap()
+        digest = hashlib.sha256()
+        for part in payload:
+            digest.update(part)
         csv_digest = sha256_digest(held[Path(path)])
         with write_atomic(f"{path}.cols", binary=True) as fh:
-            fh.write(f"{SIDECAR_TAG} {csv_digest} sha256:{payload.hexdigest()} {len(handles)} {len(raters)}\n".encode())
-            fh.writelines(_sidecar_payload(columns))
-
-
-def _sidecar_payload(columns: InteractionColumns) -> Iterator[bytes]:
-    handles, *numbers = columns
-    yield "".join(f"{handle}\n" for handle in handles).encode()
-    for code, column in zip("iiq", numbers):
-        for start in range(0, len(column), 1 << 13):  # 1 << 16 raised ingest's peak RSS by 1 MB at 77k rows
-            part = column[start : start + (1 << 13)]
-            yield struct.pack(f"<{len(part)}{code}", *part)
+            fh.write(f"{SIDECAR_TAG} {csv_digest} sha256:{digest.hexdigest()} {len(handles)} {len(raters)}\n".encode())
+            fh.writelines(payload)
 
 
 def write_interactions_csv(records: Iterable[InteractionRecord], path: str | Path) -> None:
@@ -398,8 +419,9 @@ def _write_interaction_rows(rows: Iterable[tuple[str, str, int]], path: str | Pa
 class InteractionColumns(NamedTuple):
     """Interaction rows as parallel columns: ``raters[k]`` and ``ratees[k]``
     index ``handles``, which lists each handle once in order of first sight,
-    and ``timestamps[k]`` is row k's time. read_post_columns fills lists,
-    read_interaction_columns and read_interaction_sidecar int64 arrays."""
+    and ``timestamps[k]`` is row k's time. read_post_columns fills stdlib
+    arrays (int32 ids, int64 timestamps), read_interaction_columns and
+    read_interaction_sidecar int64 numpy arrays."""
 
     handles: list[str]
     raters: Sequence[int]

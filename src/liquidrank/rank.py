@@ -263,7 +263,7 @@ def read_ranking_csv(source: str | bytes | Path | IO) -> RankedList:
                 raise FormatError(line_no, f"score {raw_score!r} is not a finite number")
             if rank != len(nodes) + 1:
                 raise FormatError(line_no, f"ranks must be consecutive from 1; got {rank}")
-            if method and row_method != method:
+            if nodes and row_method != method:  # every row has the first row's method
                 raise FormatError(line_no, f"mixed methods {method!r} and {row_method!r}")
             if node in seen:
                 raise FormatError(line_no, f"duplicate entry for node {node!r}")

@@ -5,13 +5,16 @@ import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liquidrank import cli, ingest, rank
 from liquidrank.cli import RunConfig, main
 from liquidrank.errors import EmptyRanking, NodeSetMismatch
-from liquidrank.rank import RankParams, read_ranking_csv
+from liquidrank.rank import RankedList, RankParams, read_ranking_csv
 
 TWEETS = "\n".join(
     [
@@ -337,6 +340,26 @@ def test_report_svg_chart(workspace):
     assert svg.rstrip().endswith("</svg>")
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(st.text(), st.floats(-10, 10)), max_size=4, unique_by=lambda row: row[0]),
+    method=st.text(),
+)
+def test_svg_chart_is_well_formed_xml_with_bars_at_least_0_wide(rows, method):
+    ranked = RankedList(method, [node for node, _ in rows], [score for _, score in rows])
+    svg = ElementTree.fromstring(cli.render_svg_chart(ranked, k=5))
+    widths = [float(rect.get("width")) for rect in svg.iter("{http://www.w3.org/2000/svg}rect")]
+    assert len(widths) == len(rows) and all(width >= 0 for width in widths)
+
+
+def test_svg_chart_escapes_node_and_method(workspace):
+    (workspace / "r.csv").write_text("rank,node,score,method\n1,a&b,2,x<y\n2,c,-1,x<y\n")
+    assert main(["report", "r.csv", "--format", "svg"]) == 0
+    svg = ElementTree.parse(workspace / "out" / "chart_x<y.svg")
+    texts = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[:2] == ["x<y: top 2 of 2", "1. a&b"]
+
+
 def test_manifest_lists_every_output_by_file_name(workspace):
     # Keyed by stem, the svg chart would replace the txt one, and the sidecar
     # would take the key "interactions.csv".
@@ -556,6 +579,28 @@ def test_corrupt_manifest_exits_2_naming_it(workspace, capsys, content):
     (workspace / "out" / "manifest.json").write_text(content)
     assert main(["rank"]) == 2
     assert capsys.readouterr().err.startswith("error: out/manifest.json:1: ")
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with its bytes if it is a file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("section", ["stages", "outputs", "timings_ms"])
+def test_manifest_section_that_is_not_an_object_exits_2(workspace, capsys, section):
+    (workspace / "out").mkdir()
+    (workspace / "out" / "manifest.json").write_text(json.dumps({section: []}))
+    before = tree(workspace)
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: out/manifest.json:1: {section!r} must be a JSON object\n")
+    assert tree(workspace) == before
+
+
+def test_config_file_that_is_not_an_object_exits_2_naming_it(workspace, capsys):
+    (workspace / "config.json").write_text("[1]")
+    assert main(["rank", "--config", "config.json"]) == 2
+    assert capsys.readouterr().err == "error: config.json:1: expected a JSON object\n"
 
 
 def test_manifest_write_is_atomic(workspace, monkeypatch):

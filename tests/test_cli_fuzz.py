@@ -1,6 +1,7 @@
 """Fuzz the CLI in-process: whatever bytes its input files hold and whatever
-JSON its config file holds, every command ends in one of the four exit codes,
-never in a traceback, and leaves no temporary file behind."""
+JSON its config file and an earlier run's manifest hold, every command ends
+in one of the four exit codes, never in a traceback, and leaves no temporary
+file behind."""
 
 import contextlib
 import io
@@ -79,6 +80,11 @@ configs = st.one_of(
     st.dictionaries(st.text(max_size=4), json_values, max_size=2),
 )
 
+# The manifest.json an earlier run left in the out dir, if any: an object
+# whose sections may each be of any JSON type.
+sections = st.fixed_dictionaries({}, optional=dict.fromkeys(["stages", "outputs", "timings_ms"], json_values))
+manifests = st.one_of(st.none(), sections)
+
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -95,8 +101,9 @@ def _run(argv: list[str]) -> tuple[int, str]:
     ranking=mostly(rankings.map(consecutive_ranks), rankings),
     judgments=judgments,
     config=configs,
+    manifest=manifests,
 )
-def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgments, config):
+def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgments, config, manifest):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, data in [
@@ -108,6 +115,9 @@ def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgme
         ]:
             (root / name).write_bytes(data)
         (root / "config.json").write_text(json.dumps(config))
+        if manifest is not None:
+            (root / "out").mkdir()
+            (root / "out" / "manifest.json").write_text(json.dumps(manifest))
         # Flags win over the config file: the out dir and the inputs stay
         # inside the temporary directory, and the iteration cap stays small.
         shared = ["--out-dir", str(root / "out")]

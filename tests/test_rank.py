@@ -399,6 +399,8 @@ def test_format_score_twelve_significant_digits():
         ("rank,node,score,method\n1,a,xx,m\n", 2, "bad rank/score"),
         ("rank,node,score,method\n1,a,1.0,m,extra\n", 2, "4 columns"),
         ("rank,node,score,method\n1,a,1.0,m\n2,b,0.5,other\n", 3, "mixed methods"),
+        ("rank,node,score,method\n1,a,2,\n2,b,1,x\n", 3, "mixed methods '' and 'x'"),
+        ("rank,node,score,method\n1,a,2,x\n2,b,1,\n", 3, "mixed methods 'x' and ''"),
     ],
 )
 def test_read_ranking_csv_rejects_malformed(text, line, reason_part):

@@ -8,6 +8,7 @@ import json
 import shutil
 import struct
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,14 @@ def test_sidecar_equals_the_csv_on_generated_posts(posts):
         path = Path(tmp) / "interactions.csv"
         write_interaction_columns(columns, path)
         assert_same_columns(sidecar_columns(path), read_interaction_columns(path))
+
+
+def test_post_columns_are_arrays_of_the_sidecar_widths():
+    # The sidecar is written from copies of these columns, so "i" must be
+    # int32 and "q" int64 on every host that runs ingest.
+    assert (array("i").itemsize, array("q").itemsize) == (4, 8)
+    columns, _, _ = read_post_columns("".join(json.dumps(post) + "\n" for post in POSTS), "jsonl")
+    assert [column.typecode for column in columns[1:]] == ["i", "i", "q"]
 
 
 @pytest.fixture
