@@ -27,9 +27,6 @@ from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
 from .ingest import POST_FORMATS
 from .rank import (
-    METHOD_LIQUID,
-    METHOD_MENTIONS,
-    METHOD_PRODUCT,
     NORM_MODES,
     RankedList,
     RankParams,
@@ -227,8 +224,8 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> str:
 
 
 @_stage
-def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
-    """Compute the requested rankings from the interaction CSV."""
+def cmd_rank(config: RunConfig, manifest: dict) -> None:
+    """Write the mention, liquid and product rankings, then reputation.json."""
     out_dir = Path(config.out_dir)
     input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
     digest = ingest_mod.sha256_digest(input_path)
@@ -239,31 +236,18 @@ def cmd_rank(config: RunConfig, manifest: dict, method: str = "all") -> None:
     window = config.window()
     params = config.rank_params()
     graph = build_graph(columns, window)
-
-    wanted = [METHOD_MENTIONS, METHOD_LIQUID, METHOD_PRODUCT] if method == "all" else [method]
-    need_liquid = METHOD_LIQUID in wanted or METHOD_PRODUCT in wanted
-    need_mentions = METHOD_MENTIONS in wanted or METHOD_PRODUCT in wanted
-
-    rankings: dict[str, RankedList] = {}
-    state = None
-    if need_mentions:
-        rankings[METHOD_MENTIONS] = mention_rank(graph)
-    if need_liquid:
-        state = liquid_rank(graph, params)
-        if not state.converged:
-            print(
-                f"warning: reputation loop did not converge after {state.iterations} "
-                f"iterations (last change {format_score(state.final_delta)})",
-                file=sys.stderr,
-            )
-        rankings[METHOD_LIQUID] = to_ranked_list(state)
-    if METHOD_PRODUCT in wanted:
-        rankings[METHOD_PRODUCT] = product_rank(rankings[METHOD_MENTIONS], rankings[METHOD_LIQUID])
-
-    for name in wanted:
-        write_ranking_csv(rankings[name], out_dir / f"ranking_{name}.csv")
-    if state is not None:
-        write_reputation_json(state, window, params, out_dir / "reputation.json")
+    mentions = mention_rank(graph)
+    state = liquid_rank(graph, params)
+    if not state.converged:
+        print(
+            f"warning: reputation loop did not converge after {state.iterations} "
+            f"iterations (last change {format_score(state.final_delta)})",
+            file=sys.stderr,
+        )
+    liquid = to_ranked_list(state)
+    for ranked in (mentions, liquid, product_rank(mentions, liquid)):
+        write_ranking_csv(ranked, out_dir / f"ranking_{ranked.method}.csv")
+    write_reputation_json(state, window, params, out_dir / "reputation.json")
 
     manifest["stages"]["rank"] = {
         "config": config.echo(),
@@ -409,12 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="compute rankings from interactions.csv")
     add_shared(p_rank)
     p_rank.add_argument("--input", help="interaction CSV (default: <out-dir>/interactions.csv)")
-    p_rank.add_argument(
-        "--method",
-        choices=[METHOD_MENTIONS, METHOD_LIQUID, METHOD_PRODUCT, "all"],
-        default="all",
-        help="which ranking(s) to compute",
-    )
     p_rank.add_argument("--window-start", dest="window_start", type=int, help="window start, epoch seconds (inclusive)")
     p_rank.add_argument("--window-end", dest="window_end", type=number, help="window end, epoch seconds (exclusive)")
     p_rank.add_argument("--epsilon", type=float, help=f"convergence threshold (default: {RunConfig.epsilon})")
@@ -448,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "rank":
-            return cmd_rank(config, method=args.method)
+            return cmd_rank(config)
         if args.command == "evaluate":
             return cmd_evaluate(config, args.rankings, args.judgments)
         return cmd_report(config, args.rankings, fmt=args.chart_format or "txt")

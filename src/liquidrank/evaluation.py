@@ -68,7 +68,7 @@ def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport
     if not ranked.nodes:
         raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
     flags = map(judgments.is_relevant, ranked.nodes)
-    top = list(islice(flags, k))
+    top = list(islice(flags, min(k, len(ranked.nodes))))
     hits = 0
     total = 0.0
     for rank, relevant in enumerate(top, start=1):

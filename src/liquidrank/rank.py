@@ -38,6 +38,7 @@ import csv
 import json
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import repeat, starmap
@@ -80,8 +81,9 @@ class RankParams:
     norm_mode: str = "l1"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # Compared, not converted: an int past float range fails, as do inf and nan.
+        if not 0 < self.epsilon <= sys.float_info.max:
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.alpha <= 1:

@@ -157,25 +157,6 @@ def test_rank_defaults_to_out_dir_interactions(workspace):
     assert manifest["stages"]["rank"]["edge_count"] == 4
 
 
-def test_rank_single_method_writes_only_that_ranking(workspace):
-    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
-    assert main(["rank", "--method", "mentions"]) == 0
-    out = workspace / "out"
-    assert (out / "ranking_mentions.csv").exists()
-    assert not (out / "ranking_liquid.csv").exists()
-    assert not (out / "reputation.json").exists()
-
-
-def test_rank_product_computes_dependencies(workspace):
-    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
-    assert main(["rank", "--method", "product", "--out-dir", "out"]) == 0
-    out = workspace / "out"
-    assert (out / "ranking_product.csv").exists()
-    assert (out / "reputation.json").exists()
-    # only the requested ranking is written
-    assert not (out / "ranking_liquid.csv").exists()
-
-
 def test_rank_missing_interactions_exits_1(workspace, capsys):
     assert main(["rank"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -202,7 +183,7 @@ def test_rank_nonconvergence_warns_but_exits_0(workspace, capsys):
     (workspace / "cycle.csv").write_text(
         "rater,ratee,timestamp\na,b,1\nb,a,1\nb,a,1\nb,a,1\n", encoding="utf-8"
     )
-    code = main(["rank", "--input", "cycle.csv", "--alpha", "1.0", "--method", "liquid"])
+    code = main(["rank", "--input", "cycle.csv", "--alpha", "1.0"])
     assert code == 0
     captured = capsys.readouterr()
     assert "did not converge" in captured.err
@@ -216,6 +197,25 @@ def test_rank_rejects_bad_params(workspace, capsys):
     assert main(["rank", "--alpha", "1.5"]) == 2
     assert main(["rank", "--epsilon", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        # 10**400 is an integer that no float can hold; 1e999 reads as inf.
+        pytest.param('{"epsilon": 1' + "0" * 400 + "}", [], id="int_past_float_range"),
+        pytest.param('{"epsilon": 1e999}', [], id="config_inf"),
+        pytest.param("{}", ["--epsilon", "inf"], id="flag_inf"),
+    ],
+)
+def test_rank_rejects_an_epsilon_past_float_range(workspace, capsys, config, flags):
+    (workspace / "i.csv").write_text("rater,ratee,timestamp\na,b,1\nb,a,2\n")
+    (workspace / "config.json").write_text(config)
+    assert main(["rank", "--input", "i.csv", "--config", "config.json", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon must be ")
+    assert "Traceback" not in err
+    assert not (workspace / "out").exists()
 
 
 def test_evaluate_writes_reports_and_prints_table(workspace, capsys):
@@ -560,12 +560,20 @@ def test_window_end_flag_and_config_file_give_the_same_rankings(workspace):
     assert json.loads((workspace / "flag" / "reputation.json").read_text())["window"]["end"] == top + 1
 
 
-@pytest.mark.parametrize("command", ["ingest", "rank"])
-def test_k_is_a_usage_error_before_evaluate(workspace, capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["ingest", "--input", "tweets.jsonl", "--k", "5"], id="ingest"),
+        pytest.param(["rank", "--input", "tweets.jsonl", "--k", "5"], id="rank"),
+        # rank computes every ranking; it takes no choice among them.
+        pytest.param(["rank", "--method", "mentions"], id="rank_method"),
+    ],
+)
+def test_k_is_a_usage_error_before_evaluate(workspace, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--input", "tweets.jsonl", "--k", "5"])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     assert not (workspace / "out").exists()
 
 
@@ -669,9 +677,16 @@ def test_failed_reputation_json_write_keeps_previous_bytes(workspace, monkeypatc
 
 
 def test_cli_pipeline_equals_direct_library_calls(workspace):
-    from liquidrank.graph import build_graph
-    from liquidrank.ingest import parse_tweets, to_interactions
-    from liquidrank.rank import mention_rank
+    from liquidrank.graph import TimeWindow, build_graph
+    from liquidrank.ingest import parse_tweets, read_interaction_columns, to_interactions
+    from liquidrank.rank import (
+        liquid_rank,
+        mention_rank,
+        product_rank,
+        to_ranked_list,
+        write_ranking_csv,
+        write_reputation_json,
+    )
 
     tweets = "\n".join(
         [
@@ -682,13 +697,26 @@ def test_cli_pipeline_equals_direct_library_calls(workspace):
     )
     (workspace / "three.jsonl").write_text(tweets + "\n")
     assert main(["ingest", "--input", "three.jsonl"]) == 0
-    assert main(["rank", "--method", "mentions"]) == 0
+    assert main(["rank"]) == 0
     via_cli = read_ranking_csv(workspace / "out" / "ranking_mentions.csv")
 
     records = to_interactions(parse_tweets(tweets, "jsonl").tweets)
     assert len(records) == 4
     via_library = mention_rank(build_graph(records))
     assert via_cli.entries == via_library.entries
+
+    # Every artifact rank writes, byte for byte, from the library's own calls.
+    graph = build_graph(read_interaction_columns(workspace / "out" / "interactions.csv"))
+    params = RankParams()
+    state = liquid_rank(graph, params)
+    mentions, liquid = mention_rank(graph), to_ranked_list(state)
+    library = workspace / "library"
+    library.mkdir()
+    for ranked in (mentions, liquid, product_rank(mentions, liquid)):
+        write_ranking_csv(ranked, library / f"ranking_{ranked.method}.csv")
+    write_reputation_json(state, TimeWindow(), params, library / "reputation.json")
+    for name in ("ranking_mentions.csv", "ranking_liquid.csv", "ranking_product.csv", "reputation.json"):
+        assert (workspace / "out" / name).read_bytes() == (library / name).read_bytes(), name
 
 
 def test_pipeline_artifacts_are_deterministic(workspace):

@@ -9,7 +9,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from liquidrank.cli import _CONFIG_KEYS, main
@@ -93,7 +93,15 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# No shrink phase: each example runs six commands, and shrinking a failing
+# one took minutes, so a failure is reported as it was found.
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(
     jsonl=posts_jsonl,
     csv=posts_csv,

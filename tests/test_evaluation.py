@@ -148,6 +148,13 @@ def test_evaluate_relevant_total_covers_unranked_nodes():
     assert report.relevant_total == 3
 
 
+def test_evaluate_takes_a_cutoff_past_any_ranking_length():
+    # islice takes no stop above sys.maxsize; the report keeps the k asked for.
+    ranked, judgments = ranking_from_flags([True, False, True, False, True])
+    huge = evaluate(ranked, judgments, 10**30)
+    assert asdict(huge) == {**asdict(evaluate(ranked, judgments, len(ranked.nodes))), "k": 10**30}
+
+
 # --- serialization --------------------------------------------------------
 
 

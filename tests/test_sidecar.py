@@ -57,6 +57,17 @@ def test_sidecar_equals_the_csv_on_the_acceptance_corpus(corpus_path, tmp_path):
     assert_same_columns(sidecar_columns(path), read_interaction_columns(path))
 
 
+def test_rank_with_and_without_the_sidecar_writes_the_same_artifacts(corpus_path, tmp_path):  # noqa: F811
+    # The unbounded run keeps every row either way, so only the windowed one
+    # compares the timestamps.
+    csv = str(tmp_path / "in" / "interactions.csv")
+    assert main(["ingest", "--input", str(corpus_path), "--out-dir", str(tmp_path / "in")]) == 0
+    window = ["--window-start", "1600010000", "--window-end", "1600020000"]
+    with_sidecar = [ranked(csv, str(tmp_path / "all")), ranked(csv, str(tmp_path / "window"), *window)]
+    Path(f"{csv}.cols").unlink()
+    assert [ranked(csv, str(tmp_path / "all")), ranked(csv, str(tmp_path / "window"), *window)] == with_sidecar
+
+
 WORDS = ["@a", "@B", "@c_1", "@zz9", "x@y", "hi", "@" + "q" * 20]
 
 
@@ -96,8 +107,8 @@ def ingested(tmp_path, monkeypatch):
     return tmp_path
 
 
-def ranked(input_path: str, out_dir: str) -> dict[str, bytes]:
-    assert main(["rank", "--input", input_path, "--out-dir", out_dir]) == 0
+def ranked(input_path: str, out_dir: str, *flags: str) -> dict[str, bytes]:
+    assert main(["rank", "--input", input_path, "--out-dir", out_dir, *flags]) == 0
     return {name: (Path(out_dir) / name).read_bytes() for name in ARTIFACTS}
 
 
