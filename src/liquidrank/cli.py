@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import ingest as ingest_mod
@@ -65,31 +64,10 @@ _XML_TEXT = {
 
 NAME_MAX = 255  # the longest file name, in bytes, on Linux's common file systems
 
-# The JSON type each config-file key accepts; an integer is also a number.
-_CONFIG_KEYS = {
-    "input": "string",
-    "format": "string",
-    "window_start": "integer",
-    "window_end": "number or null",
-    "epsilon": "number",
-    "max_iters": "integer",
-    "alpha": "number",
-    "norm": "string",
-    "k": "integer",
-    "out_dir": "string",
-    "strict": "boolean",
-}
-
-# The JSON type of each Python type that json.loads returns.
-_JSON_TYPES = {
-    type(None): "null", bool: "boolean", int: "integer", float: "number",
-    str: "string", list: "array", dict: "object",
-}
-
 
 @dataclass
 class RunConfig:
-    """Effective settings for one subcommand run (defaults < file < flags)."""
+    """Effective settings for one subcommand run: each given flag, else its default."""
 
     input: str | None = None
     format: str | None = None
@@ -108,8 +86,6 @@ class RunConfig:
         self.window()
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.format is not None and self.format not in POST_FORMATS:
-            raise ValueError(f"format must be {' or '.join(POST_FORMATS)}, got {self.format!r}")
 
     def rank_params(self) -> RankParams:
         return RankParams(
@@ -131,27 +107,10 @@ class RunConfig:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: built-in defaults, then config file, then flags."""
-    config = RunConfig()
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        for key, value in ingest_mod.read_json_object(path).items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"config file {path}: unknown key {key!r}")
-            expected = _CONFIG_KEYS[key]
-            found = _JSON_TYPES[type(value)]
-            accepted = expected.split(" or ")
-            if found not in accepted and not (found == "integer" and "number" in accepted):
-                raise ValueError(
-                    f"config file {path}: {key!r} must be {expected}, got {found} {json.dumps(value)}"
-                )
-            setattr(config, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if config.window_end is None:
-        config.window_end = math.inf
+    """The defaults, overridden by each flag given."""
+    config = RunConfig(
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
+    )
     config.validate()
     return config
 
@@ -205,7 +164,7 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> str:
     input_path = Path(config.input)
     fmt = config.format
     if fmt is None:
-        fmt = "csv" if input_path.suffix == ".csv" else "jsonl"
+        fmt = "csv" if input_path.suffix.lower() == ".csv" else "jsonl"
     columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
 
     ingest_mod.write_interaction_columns(columns, Path(config.out_dir) / "interactions.csv")
@@ -359,7 +318,8 @@ def cmd_report(config: RunConfig, manifest: dict, ranking_paths: list[str], fmt:
 
 
 def number(text: str) -> int | float:
-    """An integral literal as an exact int, else a float, as JSON reads it."""
+    """An integral literal as an exact int, else a float: ``--window-end``
+    keeps an integer bound past float range exact."""
     try:
         return int(text)
     except ValueError:
@@ -374,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; explicit flags win over file values")
         p.add_argument(
             "--out-dir", dest="out_dir", help=f"directory for stage artifacts (default: {RunConfig.out_dir})"
         )

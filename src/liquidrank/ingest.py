@@ -114,11 +114,12 @@ def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
     line; the text itself (str or bytes) or an open file's whole content is
     split in memory. Lines end only at "\n", "\r\n" or a lone "\r", never at
     the other separators str.splitlines knows, such as U+2028, which JSON
-    allows inside strings. A path is named in each FormatError and decoding
-    error raised while it is open."""
+    allows inside strings. A UTF-8 byte-order mark that starts a path's or
+    bytes' content is skipped. A path is named in each FormatError and
+    decoding error raised while it is open."""
     if isinstance(source, Path):
         try:
-            with open(source, encoding="utf-8", newline="") as fh:
+            with open(source, encoding="utf-8-sig", newline="") as fh:
                 yield fh
         except FormatError as exc:
             raise FormatError(exc.line, exc.reason, str(source)) from exc
@@ -128,7 +129,7 @@ def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
             raise ValueError(f"{source}: {exc}") from exc
     else:
         data = source if isinstance(source, (str, bytes)) else source.read()
-        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
+        yield io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data, newline="")
 
 
 @contextmanager

@@ -121,11 +121,12 @@ def test_rank_timestamp_range_ends_at_int64_max(workspace, capsys):
     assert capsys.readouterr().err == f"error: edge.csv:3: timestamp must be <= {top}\n"
 
 
-def test_ingest_csv_by_suffix(workspace):
-    (workspace / "tweets.csv").write_text(
+@pytest.mark.parametrize("name", ["tweets.csv", "tweets.CSV"])
+def test_ingest_csv_by_suffix(workspace, name):
+    (workspace / name).write_text(
         "author,text,timestamp\nalice,hello @bob,5\n", encoding="utf-8"
     )
-    assert main(["ingest", "--input", "tweets.csv"]) == 0
+    assert main(["ingest", "--input", name]) == 0
     rows = (workspace / "out" / "interactions.csv").read_text().splitlines()
     assert rows[1] == "alice,bob,5"
 
@@ -200,18 +201,17 @@ def test_rank_rejects_bad_params(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, flags",
+    "epsilon",
     [
-        # 10**400 is an integer that no float can hold; 1e999 reads as inf.
-        pytest.param('{"epsilon": 1' + "0" * 400 + "}", [], id="int_past_float_range"),
-        pytest.param('{"epsilon": 1e999}', [], id="config_inf"),
-        pytest.param("{}", ["--epsilon", "inf"], id="flag_inf"),
+        # --epsilon reads a float: 10**400 and 1e999 both read as inf.
+        pytest.param("1" + "0" * 400, id="int_past_float_range"),
+        pytest.param("1e999", id="exp_past_float_range"),
+        pytest.param("inf", id="flag_inf"),
     ],
 )
-def test_rank_rejects_an_epsilon_past_float_range(workspace, capsys, config, flags):
+def test_rank_rejects_an_epsilon_past_float_range(workspace, capsys, epsilon):
     (workspace / "i.csv").write_text("rater,ratee,timestamp\na,b,1\nb,a,2\n")
-    (workspace / "config.json").write_text(config)
-    assert main(["rank", "--input", "i.csv", "--config", "config.json", *flags]) == 2
+    assert main(["rank", "--input", "i.csv", "--epsilon", epsilon]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: epsilon must be ")
     assert "Traceback" not in err
@@ -418,7 +418,6 @@ def test_domain_errors_exit_3(workspace, monkeypatch, capsys, exc):
         (["rank", "--input", "bad.csv"], "bad.csv"),
         (["evaluate", "ranking.csv", "--judgments", "bad.csv"], "bad.csv"),
         (["report", "bad.csv"], "bad.csv"),
-        (["rank", "--config", "bad.json"], "bad.json"),
     ],
 )
 def test_non_utf8_input_exits_2_naming_file(workspace, capsys, argv, bad):
@@ -429,58 +428,27 @@ def test_non_utf8_input_exits_2_naming_file(workspace, capsys, argv, bad):
     assert err.startswith(f"error: {bad}: not UTF-8 text")
 
 
-def test_config_file_applies_and_flags_win(workspace):
-    (workspace / "config.json").write_text(json.dumps({"alpha": 0.9, "k": 2}))
-    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
-    assert main(["rank", "--config", "config.json"]) == 0
-    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
-    assert manifest["stages"]["rank"]["config"]["alpha"] == 0.9
-    assert manifest["stages"]["rank"]["config"]["k"] == 2
-
-    assert main(["rank", "--config", "config.json", "--alpha", "0.3"]) == 0
-    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
-    assert manifest["stages"]["rank"]["config"]["alpha"] == 0.3
-
-
-def test_config_file_unknown_key_exits_2(workspace, capsys):
-    (workspace / "config.json").write_text('{"bogus": 1}')
-    assert main(["rank", "--config", "config.json"]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
-def test_config_file_invalid_json_exits_2(workspace, capsys):
-    (workspace / "config.json").write_text("{not json")
-    assert main(["rank", "--config", "config.json"]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
-    "raw, key",
+    "name, text, argv",
     [
-        ({"k": "5"}, "k"),
-        ({"k": 5.0}, "k"),
-        ({"max_iters": True}, "max_iters"),
-        ({"window_start": False}, "window_start"),
-        ({"epsilon": "x"}, "epsilon"),
-        ({"alpha": None}, "alpha"),
-        ({"window_end": "never"}, "window_end"),
-        ({"strict": 1}, "strict"),
-        ({"norm": ["l1"]}, "norm"),
+        ("p.jsonl", TWEETS + "\n", ["ingest", "--input", "p.jsonl"]),
+        ("p.csv", "author,text,timestamp\nalice,hello @bob,5\n", ["ingest", "--input", "p.csv"]),
+        ("i.csv", "rater,ratee,timestamp\na,b,1\nb,a,2\n", ["rank", "--input", "i.csv"]),
+        ("j.csv", JUDGMENTS, ["evaluate", "r.csv", "--judgments", "j.csv"]),
+        ("r.csv", "rank,node,score,method\n1,alice,2,liquid\n2,bob,1,liquid\n", ["report", "r.csv"]),
     ],
+    ids=["posts_jsonl", "posts_csv", "interactions", "judgments", "ranking"],
 )
-def test_config_file_wrong_type_exits_2(workspace, capsys, raw, key):
-    (workspace / "config.json").write_text(json.dumps(raw))
-    assert main(["rank", "--config", "config.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config file config.json: {key!r} must be ")
-
-
-def test_config_file_accepts_int_for_number_and_null_window_end(workspace):
-    (workspace / "config.json").write_text(json.dumps({"alpha": 1, "epsilon": 1, "window_end": None}))
-    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
-    assert main(["rank", "--config", "config.json"]) == 0
-    config = json.loads((workspace / "out" / "manifest.json").read_text())["stages"]["rank"]["config"]
-    assert (config["alpha"], config["epsilon"], config["window_end"]) == (1, 1, None)
+def test_leading_utf8_bom_is_skipped(workspace, capsys, name, text, argv):
+    # Spreadsheet "CSV UTF-8" exports start with the byte-order mark EF BB BF.
+    (workspace / "r.csv").write_text("rank,node,score,method\n1,alice,2,liquid\n2,bob,1,liquid\n3,carol,0,liquid\n")
+    artifacts = []
+    for out, bom in [("plain", ""), ("bom", "\ufeff")]:
+        (workspace / name).write_text(bom + text, encoding="utf-8")
+        assert main([*argv, "--out-dir", out]) == 0
+        assert capsys.readouterr().err == ""
+        artifacts.append({path: data for path, data in tree(workspace / out).items() if path != cli.MANIFEST_NAME})
+    assert artifacts[0] and artifacts[1] == artifacts[0]
 
 
 # Nested past the interpreter's recursion limit, so json raises RecursionError.
@@ -501,13 +469,11 @@ def test_ingest_deeply_nested_line_is_malformed(workspace, capsys, strict):
         assert (workspace / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\nalice,bob,100\n"
 
 
-@pytest.mark.parametrize("name", ["config.json", "out/manifest.json"])
-def test_deeply_nested_config_or_manifest_exits_2(workspace, capsys, name):
+def test_deeply_nested_manifest_exits_2(workspace, capsys):
     (workspace / "out").mkdir()
-    (workspace / name).write_text(DEEP_JSON)
-    argv = ["ingest", "--input", "tweets.jsonl"] + (["--config", name] if name == "config.json" else [])
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {name}:1: invalid JSON (nested too deeply)\n"
+    (workspace / "out" / "manifest.json").write_text(DEEP_JSON)
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 2
+    assert capsys.readouterr().err == "error: out/manifest.json:1: invalid JSON (nested too deeply)\n"
 
 
 @pytest.mark.parametrize(
@@ -537,27 +503,22 @@ def test_lenient_tweet_csv_skips_oversized_field(workspace, capsys):
 
 
 def test_config_window_end_past_float_range_is_kept_exact(workspace):
-    (workspace / "config.json").write_text('{"window_end": 1' + "0" * 400 + "}")
-    assert main(["ingest", "--input", "tweets.jsonl", "--config", "config.json"]) == 0
-    assert main(["rank", "--config", "config.json"]) == 0
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    assert main(["rank", "--window-end", "1" + "0" * 400]) == 0
     reputation = json.loads((workspace / "out" / "reputation.json").read_text())
     assert reputation["window"] == {"start": 0, "end": 10**400}
     manifest = json.loads((workspace / "out" / "manifest.json").read_text())
     assert manifest["stages"]["rank"]["config"]["window_end"] == 10**400
 
 
-def test_window_end_flag_and_config_file_give_the_same_rankings(workspace):
+def test_window_end_flag_keeps_the_rows_below_an_integer_past_float_precision(workspace):
     # 2**53 + 1 is the first integer a float cannot hold: read as a float,
     # the bound rounds down to 2**53 and drops the rows stamped 2**53.
     top = 2**53
     (workspace / "edges.csv").write_text(f"rater,ratee,timestamp\na,c,1\nc,a,2\nb,a,{top}\na,b,{top}\n")
-    (workspace / "config.json").write_text(json.dumps({"window_end": top + 1}))
-    assert main(["rank", "--input", "edges.csv", "--out-dir", "flag", "--window-end", str(top + 1)]) == 0
-    assert main(["rank", "--input", "edges.csv", "--out-dir", "file", "--config", "config.json"]) == 0
-    for name in ("ranking_mentions.csv", "ranking_liquid.csv", "ranking_product.csv", "reputation.json"):
-        assert (workspace / "flag" / name).read_bytes() == (workspace / "file" / name).read_bytes(), name
-    assert sorted(read_ranking_csv(Path("flag/ranking_mentions.csv")).nodes) == ["a", "b", "c"]
-    assert json.loads((workspace / "flag" / "reputation.json").read_text())["window"]["end"] == top + 1
+    assert main(["rank", "--input", "edges.csv", "--window-end", str(top + 1)]) == 0
+    assert sorted(read_ranking_csv(Path("out/ranking_mentions.csv")).nodes) == ["a", "b", "c"]
+    assert json.loads((workspace / "out" / "reputation.json").read_text())["window"]["end"] == top + 1
 
 
 @pytest.mark.parametrize(
@@ -567,6 +528,8 @@ def test_window_end_flag_and_config_file_give_the_same_rankings(workspace):
         pytest.param(["rank", "--input", "tweets.jsonl", "--k", "5"], id="rank"),
         # rank computes every ranking; it takes no choice among them.
         pytest.param(["rank", "--method", "mentions"], id="rank_method"),
+        # Settings come from flags alone.
+        pytest.param(["rank", "--config", "c.json"], id="rank_config"),
     ],
 )
 def test_k_is_a_usage_error_before_evaluate(workspace, capsys, argv):
@@ -603,12 +566,6 @@ def test_manifest_section_that_is_not_an_object_exits_2(workspace, capsys, secti
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: out/manifest.json:1: {section!r} must be a JSON object\n")
     assert tree(workspace) == before
-
-
-def test_config_file_that_is_not_an_object_exits_2_naming_it(workspace, capsys):
-    (workspace / "config.json").write_text("[1]")
-    assert main(["rank", "--config", "config.json"]) == 2
-    assert capsys.readouterr().err == "error: config.json:1: expected a JSON object\n"
 
 
 def test_manifest_write_is_atomic(workspace, monkeypatch):
@@ -792,10 +749,8 @@ def test_non_finite_ranking_score_exits_2_naming_line(workspace, capsys, command
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
-@pytest.mark.parametrize("name", ["config.json", "out/manifest.json"])
-def test_overlong_json_integer_exits_2_naming_file(workspace, capsys, name):
+def test_overlong_json_integer_exits_2_naming_file(workspace, capsys):
     (workspace / "out").mkdir()
-    (workspace / name).write_text('{"k": 1' + "0" * 5000 + "}")
-    argv = ["ingest", "--input", "tweets.jsonl"] + (["--config", name] if name == "config.json" else [])
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: {name}: Exceeds the limit (4300 digits)")
+    (workspace / "out" / "manifest.json").write_text('{"k": 1' + "0" * 5000 + "}")
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 2
+    assert capsys.readouterr().err.startswith("error: out/manifest.json: Exceeds the limit (4300 digits)")

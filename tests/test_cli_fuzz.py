@@ -1,7 +1,7 @@
-"""Fuzz the CLI in-process: whatever bytes its input files hold and whatever
-JSON its config file and an earlier run's manifest hold, every command ends
-in one of the four exit codes, never in a traceback, and leaves no temporary
-file behind."""
+"""Fuzz the CLI in-process: whatever bytes its input files hold, whatever
+values its flags take and whatever JSON an earlier run's manifest holds,
+every command ends in one of the four exit codes, never in a traceback, and
+leaves no temporary file behind."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from liquidrank.cli import _CONFIG_KEYS, main
+from liquidrank.cli import main
 
 
 def mostly(valid: st.SearchStrategy, invalid: st.SearchStrategy) -> st.SearchStrategy:
@@ -68,17 +68,34 @@ json_values = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=8,
 )
-# 10**400 is an integer that no float can hold.
-config_values = st.one_of(
-    json_values, st.integers(-1, 3), st.floats(0, 2), st.sampled_from(["l1", "max", "csv", 10**400])
+# Values most flags reject, or that overflow a float; 10**400 is an integer
+# that no float can hold.
+bad_values = st.sampled_from(["-1", "nan", "inf", "1e999", "x", "1" + "0" * 400])
+
+
+def option(flag: str, valid: st.SearchStrategy) -> st.SearchStrategy:
+    """``flag`` and its value, mostly drawn from ``valid``."""
+    return mostly(valid.map(str), bad_values).map(lambda value: [flag, value])
+
+
+def flag_lists(*options: st.SearchStrategy) -> st.SearchStrategy:
+    """Up to three of a command's own flags, in any order."""
+    return st.lists(st.one_of(*options), max_size=3).map(lambda drawn: [arg for flag in drawn for arg in flag])
+
+
+ingest_flags = flag_lists(
+    st.sampled_from([["--strict"], ["--no-strict"]]), option("--format", st.sampled_from(["jsonl", "csv"]))
 )
-configs = st.one_of(
-    st.none(),
-    st.just({}),
-    json_values,
-    st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), config_values, max_size=3),
-    st.dictionaries(st.text(max_size=4), json_values, max_size=2),
+rank_flags = flag_lists(
+    option("--window-start", st.integers(-1, 10)),
+    option("--window-end", st.one_of(st.integers(0, 10), st.floats(0, 10), st.just(10**400))),
+    option("--epsilon", st.floats(1e-9, 1)),
+    option("--alpha", st.floats(0, 1)),
+    option("--norm", st.sampled_from(["l1", "max"])),
 )
+k_flag = option("--k", st.integers(1, 5))
+evaluate_flags = flag_lists(k_flag)
+report_flags = flag_lists(k_flag, option("--format", st.sampled_from(["txt", "svg"])))
 
 # The manifest.json an earlier run left in the out dir, if any: an object
 # whose sections may each be of any JSON type.
@@ -87,9 +104,14 @@ manifests = st.one_of(st.none(), sections)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one command; an argparse usage error is its
+    SystemExit's code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -108,10 +130,10 @@ def _run(argv: list[str]) -> tuple[int, str]:
     interactions=interactions,
     ranking=mostly(rankings.map(consecutive_ranks), rankings),
     judgments=judgments,
-    config=configs,
+    flags=st.tuples(ingest_flags, ingest_flags, ingest_flags, rank_flags, evaluate_flags, report_flags),
     manifest=manifests,
 )
-def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgments, config, manifest):
+def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgments, flags, manifest):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, data in [
@@ -122,25 +144,24 @@ def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgme
             ("judgments.csv", judgments),
         ]:
             (root / name).write_bytes(data)
-        (root / "config.json").write_text(json.dumps(config))
         if manifest is not None:
             (root / "out").mkdir()
             (root / "out" / "manifest.json").write_text(json.dumps(manifest))
-        # Flags win over the config file: the out dir and the inputs stay
-        # inside the temporary directory, and the iteration cap stays small.
-        shared = ["--out-dir", str(root / "out")]
-        if config is not None:
-            shared += ["--config", str(root / "config.json")]
+        # The fixed flags come last, so they win over the drawn ones: the
+        # out dir stays inside the temporary directory, and the iteration
+        # cap stays small.
+        out = ["--out-dir", str(root / "out")]
         commands = [
-            ["ingest", "--input", str(root / "posts.jsonl")],
-            ["ingest", "--input", str(root / "posts.csv"), "--strict"],
-            ["ingest", "--input", str(root / "posts.csv"), "--no-strict"],
-            ["rank", "--input", str(root / "interactions.csv"), "--max-iters", "50"],
-            ["evaluate", str(root / "ranking.csv"), "--judgments", str(root / "judgments.csv")],
-            ["report", str(root / "ranking.csv")],
+            (["ingest", "--input", str(root / "posts.jsonl")], out),
+            (["ingest", "--input", str(root / "posts.csv"), "--strict"], out),
+            (["ingest", "--input", str(root / "posts.csv"), "--no-strict"], out),
+            (["rank", "--input", str(root / "interactions.csv")], out + ["--max-iters", "50"]),
+            (["evaluate", str(root / "ranking.csv"), "--judgments", str(root / "judgments.csv")], out),
+            (["report", str(root / "ranking.csv")], out),
         ]
-        for command in commands:
-            code, err = _run(command + shared)
+        for (command, fixed), drawn in zip(commands, flags):
+            command = command + drawn + fixed
+            code, err = _run(command)
             assert code in (0, 1, 2, 3), (command, code, err)
             assert "Traceback" not in err, (command, err)
         leftovers = list((root / "out").glob(".*.tmp")) if (root / "out").exists() else []

@@ -67,7 +67,7 @@ def test_reader_names_the_path_it_cannot_decode(tmp_path, name):
     ids=["array", "broken", "lone-cr", "too-deep"],
 )
 def test_json_object_reader_names_the_file_and_line(tmp_path, content, line, reason):
-    path = tmp_path / "config.json"
+    path = tmp_path / "manifest.json"
     path.write_bytes(content)
     with pytest.raises(FormatError) as exc_info:
         read_json_object(path)
@@ -75,6 +75,6 @@ def test_json_object_reader_names_the_file_and_line(tmp_path, content, line, rea
 
 
 def test_json_object_reader_returns_the_object(tmp_path):
-    path = tmp_path / "config.json"
+    path = tmp_path / "manifest.json"
     path.write_text('{"k": 5, "norm": "max"}\n', encoding="utf-8")
     assert read_json_object(Path(path)) == {"k": 5, "norm": "max"}
