@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import ingest as ingest_mod
@@ -65,53 +64,12 @@ _XML_TEXT = {
 NAME_MAX = 255  # the longest file name, in bytes, on Linux's common file systems
 
 
-@dataclass
-class RunConfig:
-    """Effective settings for one subcommand run: each given flag, else its default."""
-
-    input: str | None = None
-    format: str | None = None
-    window_start: int = 0
-    window_end: float = math.inf
-    epsilon: float = RankParams.epsilon
-    max_iters: int = RankParams.max_iters
-    alpha: float = RankParams.alpha
-    norm: str = RankParams.norm_mode
-    k: int = 50
-    out_dir: str = "out"
-    strict: bool = False
-
-    def validate(self) -> None:
-        self.rank_params()  # RankParams enforces epsilon/max_iters/alpha/norm
-        self.window()
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-    def rank_params(self) -> RankParams:
-        return RankParams(
-            epsilon=self.epsilon,
-            max_iters=self.max_iters,
-            alpha=self.alpha,
-            norm_mode=self.norm,
-        )
-
-    def window(self) -> TimeWindow:
-        return TimeWindow(start=self.window_start, end=self.window_end)
-
-    def echo(self) -> dict:
-        data = asdict(self)
-        # Compared, not math.isinf: an integer end past float range is finite.
-        if data["window_end"] == math.inf:
-            data["window_end"] = None
-        return data
-
-
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """The defaults, overridden by each flag given."""
-    config = RunConfig(
-        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
-    )
-    config.validate()
+def _echo(args: argparse.Namespace) -> dict:
+    """The command's settings, given or default, as its manifest stage records them."""
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    # Compared, not math.isinf: an integer end past float range is finite.
+    if config.get("window_end") == math.inf:
+        config["window_end"] = None
     return config
 
 
@@ -126,7 +84,7 @@ def _load_manifest(out_dir: Path) -> dict:
 
 
 def _stage(command):
-    """Run ``command(config, manifest, ...)`` as the stage named after it
+    """Run ``command(args, manifest)`` as the stage named after it
     (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
     write its artifacts and fill its stage in, then list each artifact under
     ``outputs`` by its file name, record the command's wall time and write the
@@ -137,16 +95,16 @@ def _stage(command):
     name = command.__name__.removeprefix("cmd_")
 
     @functools.wraps(command)
-    def run(config: RunConfig, *args, **kwargs) -> int:
+    def run(args: argparse.Namespace) -> int:
         start = time.perf_counter()
-        manifest = _load_manifest(Path(config.out_dir))
+        manifest = _load_manifest(Path(args.out_dir))
         with ingest_mod.write_together() as held:
-            summary = command(config, manifest, *args, **kwargs)
+            summary = command(args, manifest)
             artifacts = list(held)
             for path in artifacts:
                 manifest["outputs"][path.name] = str(path)
             manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
-            ingest_mod.write_json(Path(config.out_dir) / MANIFEST_NAME, manifest)
+            ingest_mod.write_json(Path(args.out_dir) / MANIFEST_NAME, manifest)
         for path in artifacts:
             print(f"wrote {path}")
         if summary is not None:
@@ -157,23 +115,23 @@ def _stage(command):
 
 
 @_stage
-def cmd_ingest(config: RunConfig, manifest: dict) -> str:
+def cmd_ingest(args: argparse.Namespace, manifest: dict) -> str:
     """Parse the raw dataset and write the canonical interaction CSV."""
-    if not config.input:
+    if not args.input:
         raise ValueError("ingest needs --input")
-    input_path = Path(config.input)
-    fmt = config.format
+    input_path = Path(args.input)
+    fmt = args.format
     if fmt is None:
         fmt = "csv" if input_path.suffix.lower() == ".csv" else "jsonl"
-    columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=config.strict)
+    columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=args.strict)
 
-    ingest_mod.write_interaction_columns(columns, Path(config.out_dir) / "interactions.csv")
+    ingest_mod.write_interaction_columns(columns, Path(args.out_dir) / "interactions.csv")
 
     for bad in malformed:
         print(f"warning: {input_path}:{bad.line}: skipped ({bad.reason})", file=sys.stderr)
 
     manifest["stages"]["ingest"] = {
-        "config": config.echo(),
+        "config": _echo(args),
         "input_digest": ingest_mod.sha256_digest(input_path),
         "tweet_count": posts,
         "record_count": len(columns.raters),
@@ -183,17 +141,17 @@ def cmd_ingest(config: RunConfig, manifest: dict) -> str:
 
 
 @_stage
-def cmd_rank(config: RunConfig, manifest: dict) -> None:
+def cmd_rank(args: argparse.Namespace, manifest: dict) -> None:
     """Write the mention, liquid and product rankings, then reputation.json."""
-    out_dir = Path(config.out_dir)
-    input_path = Path(config.input) if config.input else out_dir / "interactions.csv"
+    params = RankParams(epsilon=args.epsilon, max_iters=args.max_iters, alpha=args.alpha, norm_mode=args.norm)
+    window = TimeWindow(start=args.window_start, end=args.window_end)
+    out_dir = Path(args.out_dir)
+    input_path = Path(args.input) if args.input else out_dir / "interactions.csv"
     digest = ingest_mod.sha256_digest(input_path)
     columns = ingest_mod.read_interaction_sidecar(input_path, digest)
     if columns is None:
         columns = ingest_mod.read_interaction_columns(input_path)
 
-    window = config.window()
-    params = config.rank_params()
     graph = build_graph(columns, window)
     mentions = mention_rank(graph)
     state = liquid_rank(graph, params)
@@ -209,7 +167,7 @@ def cmd_rank(config: RunConfig, manifest: dict) -> None:
     write_reputation_json(state, window, params, out_dir / "reputation.json")
 
     manifest["stages"]["rank"] = {
-        "config": config.echo(),
+        "config": _echo(args),
         "input_digest": digest,
         "record_count": len(columns.raters),
         "node_count": graph.node_count,
@@ -253,19 +211,27 @@ def _named_rankings(ranking_paths: list[str], out_dir: str, artifact: str) -> li
 
 
 @_stage
-def cmd_evaluate(config: RunConfig, manifest: dict, ranking_paths: list[str], judgments_path: str) -> str:
+def cmd_evaluate(args: argparse.Namespace, manifest: dict) -> str:
     """Score each ranking against the judgments; return a comparison table."""
-    judgments = read_judgments_csv(Path(judgments_path))
+    judgments = read_judgments_csv(Path(args.judgments))
 
     reports = []
-    for _, ranking_path, ranked, target in _named_rankings(ranking_paths, config.out_dir, "report_{}.json"):
+    for _, ranking_path, ranked, target in _named_rankings(args.rankings, args.out_dir, "report_{}.json"):
         try:
-            report = evaluate(ranked, judgments, config.k)
+            report = evaluate(ranked, judgments, args.k)
         except DomainError as exc:
             raise DomainError(f"{ranking_path}: {exc}") from exc
         reports.append(report)
         write_report_json(report, target)
     return _report_table(reports)
+
+
+def _bar_length(score: float, max_score: float, full: int) -> float:
+    """``score``'s share of ``max_score`` times ``full``, clamped to [0, full]."""
+    length = full * score / max_score if max_score > 0 else 0.0
+    if length == math.inf:  # full * score overflowed; score / max_score is at most 1
+        length = full * (score / max_score)
+    return min(max(0.0, length), full)
 
 
 def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
@@ -277,16 +243,15 @@ def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> st
         max_score = max(e.score for e in rows)
         label_width = max(len(e.node) for e in rows)
         for e in rows:
-            width = round(TXT_BAR_WIDTH * e.score / max_score) if max_score > 0 else 0
-            bar = "#" * width
+            bar = "#" * round(_bar_length(e.score, max_score, TXT_BAR_WIDTH))
             lines.append(f"{e.rank:>4}  {e.node:<{label_width}}  {bar:<{TXT_BAR_WIDTH}}  {format_score(e.score)}")
     return "\n".join(lines) + "\n"
 
 
 def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
     """Self-contained SVG bar chart; no rendering dependencies. Text is
-    escaped, so any node name or title gives well-formed XML; a bar is at
-    least 0 wide."""
+    escaped, so any node name or title gives well-formed XML; a bar is 0 to
+    ``chart_w`` wide."""
     rows = top_k(ranked, k).entries
     name = (title or ranked.method or "ranking").translate(_XML_TEXT)
     bar_h, gap, label_w, chart_w, value_w = 16, 6, 170, 400, 120
@@ -300,7 +265,7 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     ]
     for idx, e in enumerate(rows):
         y = 34 + idx * (bar_h + gap)
-        bar = max(0.0, chart_w * e.score / max_score) if max_score > 0 else 0.0
+        bar = _bar_length(e.score, max_score, chart_w)
         parts.append(f'<text x="10" y="{y + 12}">{e.rank}. {e.node.translate(_XML_TEXT)}</text>')
         parts.append(f'<rect x="{label_w}" y="{y}" width="{bar:.2f}" height="{bar_h}" fill="#4878a8"/>')
         parts.append(f'<text x="{label_w + chart_w + 10}" y="{y + 12}">{format_score(e.score)}</text>')
@@ -309,12 +274,12 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
 
 
 @_stage
-def cmd_report(config: RunConfig, manifest: dict, ranking_paths: list[str], fmt: str = "txt") -> None:
+def cmd_report(args: argparse.Namespace, manifest: dict) -> None:
     """Emit a bar-chart file per ranking CSV."""
-    render = render_txt_chart if fmt == "txt" else render_svg_chart
-    for name, _, ranked, target in _named_rankings(ranking_paths, config.out_dir, f"chart_{{}}.{fmt}"):
+    render = render_txt_chart if args.chart_format == "txt" else render_svg_chart
+    for name, _, ranked, target in _named_rankings(args.rankings, args.out_dir, f"chart_{{}}.{args.chart_format}"):
         with ingest_mod.write_atomic(target) as fh:
-            fh.write(render(ranked, config.k, title=name))
+            fh.write(render(ranked, args.k, title=name))
 
 
 def number(text: str) -> int | float:
@@ -326,6 +291,14 @@ def number(text: str) -> int | float:
         return float(text)
 
 
+def cutoff(text: str) -> int:
+    """A ``--k`` value: an integer >= 1; argparse reports any other text as a usage error."""
+    k = int(text)
+    if k < 1:
+        raise ValueError(text)
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liquidrank",
@@ -333,47 +306,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--out-dir", dest="out_dir", help=f"directory for stage artifacts (default: {RunConfig.out_dir})"
-        )
+    def add_stage(name: str, command, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(command=command)
+        p.add_argument("--out-dir", default="out", help="directory for stage artifacts (default: %(default)s)")
+        return p
 
-    p_ingest = sub.add_parser("ingest", help="parse a tweet dataset into interactions.csv")
-    add_shared(p_ingest)
+    p_ingest = add_stage("ingest", cmd_ingest, "parse a tweet dataset into interactions.csv")
     p_ingest.add_argument("--input", help="path to the raw dataset")
     p_ingest.add_argument("--format", choices=POST_FORMATS, help="input format (default: by file suffix)")
     p_ingest.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="fail on the first malformed line instead of skipping it",
+        "--strict", action="store_true", help="fail on the first malformed line instead of skipping it"
     )
 
-    p_rank = sub.add_parser("rank", help="compute rankings from interactions.csv")
-    add_shared(p_rank)
+    p_rank = add_stage("rank", cmd_rank, "compute rankings from interactions.csv")
     p_rank.add_argument("--input", help="interaction CSV (default: <out-dir>/interactions.csv)")
-    p_rank.add_argument("--window-start", dest="window_start", type=int, help="window start, epoch seconds (inclusive)")
-    p_rank.add_argument("--window-end", dest="window_end", type=number, help="window end, epoch seconds (exclusive)")
-    p_rank.add_argument("--epsilon", type=float, help=f"convergence threshold (default: {RunConfig.epsilon})")
+    for flag, kind, default, text in [
+        ("--window-start", int, TimeWindow.start, "window start, epoch seconds (inclusive)"),
+        ("--window-end", number, TimeWindow.end, "window end, epoch seconds (exclusive)"),
+        ("--epsilon", float, RankParams.epsilon, "convergence threshold"),
+        ("--max-iters", int, RankParams.max_iters, "iteration cap"),
+        ("--alpha", float, RankParams.alpha, "damping blend in (0, 1]"),
+    ]:
+        p_rank.add_argument(flag, type=kind, default=default, help=f"{text} (default: %(default)s)")
     p_rank.add_argument(
-        "--max-iters", dest="max_iters", type=int, help=f"iteration cap (default: {RunConfig.max_iters})"
+        "--norm",
+        choices=NORM_MODES,
+        default=RankParams.norm_mode,
+        help="per-cycle normalization (default: %(default)s)",
     )
-    p_rank.add_argument("--alpha", type=float, help=f"damping blend in (0, 1] (default: {RunConfig.alpha})")
-    p_rank.add_argument("--norm", choices=NORM_MODES, help=f"per-cycle normalization (default: {RunConfig.norm})")
 
-    p_eval = sub.add_parser("evaluate", help="score rankings against graded judgments")
-    add_shared(p_eval)
+    p_eval = add_stage("evaluate", cmd_evaluate, "score rankings against graded judgments")
     p_eval.add_argument("rankings", nargs="+", help="ranking CSV path(s)")
     p_eval.add_argument("--judgments", required=True, help="judgment CSV (node,grade)")
 
-    p_report = sub.add_parser("report", help="emit bar charts for rankings")
-    add_shared(p_report)
+    p_report = add_stage("report", cmd_report, "emit bar charts for rankings")
     p_report.add_argument("rankings", nargs="+", help="ranking CSV path(s)")
     p_report.add_argument(
-        "--format", dest="chart_format", choices=["txt", "svg"], help="chart format (default: txt)"
+        "--format",
+        dest="chart_format",
+        choices=["txt", "svg"],
+        default="txt",
+        help="chart format (default: %(default)s)",
     )
     for p in (p_eval, p_report):
-        p.add_argument("--k", type=int, help=f"ranking cutoff (default: {RunConfig.k})")
+        p.add_argument("--k", type=cutoff, default=50, help="ranking cutoff, an integer >= 1 (default: %(default)s)")
 
     return parser
 
@@ -381,14 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "rank":
-            return cmd_rank(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.rankings, args.judgments)
-        return cmd_report(config, args.rankings, fmt=args.chart_format or "txt")
+        return args.command(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

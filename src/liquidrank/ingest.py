@@ -281,7 +281,7 @@ def _posts(
                     if not isinstance(author, str) or not author:
                         raise ValueError("author must be a non-empty string")
                     handle = author.lower()
-                    if not valid_handle(handle):
+                    if not (author.isascii() and valid_handle(handle)):  # "\u212a".lower() is "k"
                         raise ValueError(f"author {author!r} is not a valid handle")
                     authors[author] = handle
                 if not isinstance(text, str):

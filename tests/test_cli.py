@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liquidrank import cli, ingest, rank
-from liquidrank.cli import RunConfig, main
+from liquidrank.cli import main
 from liquidrank.errors import EmptyRanking, NodeSetMismatch
 from liquidrank.rank import RankedList, RankParams, read_ranking_csv
 
@@ -502,6 +502,26 @@ def test_lenient_tweet_csv_skips_oversized_field(workspace, capsys):
     assert (workspace / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\nb,a,2\n"
 
 
+@pytest.mark.parametrize(
+    "scores, bars",
+    [
+        pytest.param(["1e308", "5e307", "-1e308"], [40, 20, 0], id="past_float_range_times_width"),
+        pytest.param(["1e-300", "1e-310", "-1e300"], [40, 0, 0], id="huge_negative_under_tiny_max"),
+    ],
+)
+def test_report_bars_span_0_to_full_width_for_any_finite_score(workspace, scores, bars):
+    rows = "".join(f"{rank},n{rank},{score},m\n" for rank, score in enumerate(scores, 1))
+    (workspace / "r.csv").write_text("rank,node,score,method\n" + rows)
+    assert main(["report", "r.csv"]) == 0
+    assert main(["report", "r.csv", "--format", "svg"]) == 0
+    txt = (workspace / "out" / "chart_m.txt").read_text()
+    svg = (workspace / "out" / "chart_m.svg").read_text()
+    assert [line.count("#") for line in txt.splitlines()[1:]] == bars
+    rects = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}rect")
+    assert [float(rect.get("width")) for rect in rects] == [10.0 * bar for bar in bars]
+    assert "inf" not in txt + svg
+
+
 def test_config_window_end_past_float_range_is_kept_exact(workspace):
     assert main(["ingest", "--input", "tweets.jsonl"]) == 0
     assert main(["rank", "--window-end", "1" + "0" * 400]) == 0
@@ -522,26 +542,38 @@ def test_window_end_flag_keeps_the_rows_below_an_integer_past_float_precision(wo
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unknown",
     [
-        pytest.param(["ingest", "--input", "tweets.jsonl", "--k", "5"], id="ingest"),
-        pytest.param(["rank", "--input", "tweets.jsonl", "--k", "5"], id="rank"),
+        pytest.param(["ingest", "--input", "tweets.jsonl"], ["--k", "5"], id="ingest"),
+        pytest.param(["rank", "--input", "tweets.jsonl"], ["--k", "5"], id="rank"),
         # rank computes every ranking; it takes no choice among them.
-        pytest.param(["rank", "--method", "mentions"], id="rank_method"),
+        pytest.param(["rank"], ["--method", "mentions"], id="rank_method"),
         # Settings come from flags alone.
-        pytest.param(["rank", "--config", "c.json"], id="rank_config"),
+        pytest.param(["rank"], ["--config", "c.json"], id="rank_config"),
+        # --strict is off unless given: there is no setting for --no-strict to undo.
+        pytest.param(["ingest", "--input", "tweets.jsonl"], ["--no-strict"], id="ingest_no_strict"),
     ],
 )
-def test_k_is_a_usage_error_before_evaluate(workspace, capsys, argv):
+def test_k_is_a_usage_error_before_evaluate(workspace, capsys, argv, unknown):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + unknown)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(unknown)}" in capsys.readouterr().err
     assert not (workspace / "out").exists()
 
 
-def test_run_config_defaults_are_rank_params_defaults():
-    assert RunConfig().rank_params() == RankParams()
+@pytest.mark.parametrize("strict", [False, True])
+def test_ingest_author_that_is_ascii_only_once_lowered_is_malformed(workspace, capsys, strict):
+    # "\u212a" (KELVIN SIGN) lowers to "k": lowered, "\u212aelvin" is the handle "kelvin".
+    (workspace / "k.jsonl").write_text('{"author": "\\u212aelvin", "text": "@bob", "timestamp": 1}\n' + TWEETS + "\n")
+    code = main(["ingest", "--input", "k.jsonl", *(["--strict"] if strict else [])])
+    err = capsys.readouterr().err
+    fault = "author '\u212aelvin' is not a valid handle"
+    if strict:
+        assert (code, err) == (2, f"error: k.jsonl:1: {fault}\n")
+    else:
+        assert (code, err) == (0, f"warning: k.jsonl:1: skipped ({fault})\n")
+        assert "kelvin" not in (workspace / "out" / "interactions.csv").read_text()
 
 
 @pytest.mark.parametrize("content", ["{not json", "[]"])

@@ -83,9 +83,7 @@ def flag_lists(*options: st.SearchStrategy) -> st.SearchStrategy:
     return st.lists(st.one_of(*options), max_size=3).map(lambda drawn: [arg for flag in drawn for arg in flag])
 
 
-ingest_flags = flag_lists(
-    st.sampled_from([["--strict"], ["--no-strict"]]), option("--format", st.sampled_from(["jsonl", "csv"]))
-)
+ingest_flags = flag_lists(st.just(["--strict"]), option("--format", st.sampled_from(["jsonl", "csv"])))
 rank_flags = flag_lists(
     option("--window-start", st.integers(-1, 10)),
     option("--window-end", st.one_of(st.integers(0, 10), st.floats(0, 10), st.just(10**400))),
@@ -154,7 +152,7 @@ def test_cli_never_ends_in_a_traceback(jsonl, csv, interactions, ranking, judgme
         commands = [
             (["ingest", "--input", str(root / "posts.jsonl")], out),
             (["ingest", "--input", str(root / "posts.csv"), "--strict"], out),
-            (["ingest", "--input", str(root / "posts.csv"), "--no-strict"], out),
+            (["ingest", "--input", str(root / "posts.csv")], out),
             (["rank", "--input", str(root / "interactions.csv")], out + ["--max-iters", "50"]),
             (["evaluate", str(root / "ranking.csv"), "--judgments", str(root / "judgments.csv")], out),
             (["report", str(root / "ranking.csv")], out),

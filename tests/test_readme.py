@@ -1,8 +1,14 @@
-"""The README's library example runs as written, so the documented calls
-cannot drift from the package."""
+"""The README's library example runs as written and its Knobs table gives
+the parser's defaults, so neither can drift from the package."""
 
 import re
 from pathlib import Path
+
+import pytest
+
+from liquidrank.cli import build_parser
+from liquidrank.graph import TimeWindow
+from liquidrank.rank import RankParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +28,39 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert namespace["post_count"] == 2
     assert sorted(namespace["ranking"].nodes) == ["alice", "bob"]
     assert namespace["report"].relevant_total == 1
+
+
+# The Knobs table's defaults that are words, as the values argparse holds.
+DEFAULT_WORDS = {"off": False, "by file suffix": None}
+# What each command needs besides its options.
+OPERANDS = {"ingest": [], "rank": [], "evaluate": ["r.csv", "--judgments", "j.csv"], "report": ["r.csv"]}
+
+
+def _help(parser, command: str, capsys) -> str:
+    """``command``'s --help text, its whitespace runs made single spaces."""
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_knobs_table_gives_each_flags_default(capsys):
+    knobs = README.read_text(encoding="utf-8").split("\n### Knobs\n\n", 1)[1].split("\n\n", 1)[0]
+    parser = build_parser()
+    # %(default)s in a help text is only formatted here.
+    helps = {command: _help(parser, command, capsys) for command in OPERANDS}
+    rows = [[cell.strip().strip("`") for cell in row.strip("|").split(" | ")] for row in knobs.splitlines()[2:]]
+    assert rows
+    for flag, commands, default, _ in rows:
+        for command in OPERANDS if commands == "all" else commands.replace("`", "").split(", "):
+            parsed = parser.parse_args([command, *OPERANDS[command]])
+            if default in DEFAULT_WORDS:
+                assert getattr(parsed, flag[2:].replace("-", "_")) is DEFAULT_WORDS[default], (command, flag)
+            else:
+                # Giving the documented default parses the same as giving nothing.
+                assert parser.parse_args([command, *OPERANDS[command], flag, default]) == parsed, (command, flag)
+            if default != "off":
+                assert f"(default: {default})" in helps[command], (command, flag)
+    # rank without flags runs the library's defaults.
+    args = parser.parse_args(["rank"])
+    assert RankParams(args.epsilon, args.max_iters, args.alpha, args.norm) == RankParams()
+    assert TimeWindow(args.window_start, args.window_end) == TimeWindow()
