@@ -117,8 +117,6 @@ def _stage(command):
 @_stage
 def cmd_ingest(args: argparse.Namespace, manifest: dict) -> str:
     """Parse the raw dataset and write the canonical interaction CSV."""
-    if not args.input:
-        raise ValueError("ingest needs --input")
     input_path = Path(args.input)
     fmt = args.format
     if fmt is None:
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_ingest = add_stage("ingest", cmd_ingest, "parse a tweet dataset into interactions.csv")
-    p_ingest.add_argument("--input", help="path to the raw dataset")
+    p_ingest.add_argument("--input", required=True, help="path to the raw dataset")
     p_ingest.add_argument("--format", choices=POST_FORMATS, help="input format (default: by file suffix)")
     p_ingest.add_argument(
         "--strict", action="store_true", help="fail on the first malformed line instead of skipping it"

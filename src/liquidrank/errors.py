@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps each onto an exit code through one table, `cli._EXIT_CODES`:
-a FormatError is a ValueError, and every domain error is a DomainError.
+a FormatError is a ValueError, and a DomainError's message names its case.
 """
 
 from __future__ import annotations
@@ -20,29 +20,5 @@ class FormatError(ValueError):
 
 
 class DomainError(Exception):
-    """Well-formed input that has no meaningful result."""
-
-
-class EmptyGraph(DomainError):
-    """Ranking requested on a graph without the required nodes/edges."""
-
-
-class DegenerateUpdate(DomainError):
-    """Reputation inflow vanished entirely, so no meaningful update exists."""
-
-
-class NodeSetMismatch(DomainError):
-    """Two rankings that must cover the same nodes do not."""
-
-    def __init__(self, only_in_first: set[str], only_in_second: set[str]):
-        self.only_in_first = frozenset(only_in_first)
-        self.only_in_second = frozenset(only_in_second)
-        super().__init__(
-            "rankings cover different node sets; "
-            f"only in first: {sorted(only_in_first)}, "
-            f"only in second: {sorted(only_in_second)}"
-        )
-
-
-class EmptyRanking(DomainError):
-    """Metric requested on a ranking with no entries."""
+    """Well-formed input that has no meaningful result: an empty graph or
+    ranking, a vanished reputation inflow, or rankings over different nodes."""

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO
 
-from .errors import EmptyRanking, FormatError
+from .errors import DomainError, FormatError
 from .ingest import read_csv_rows, write_json
 from .rank import RankedList
 
@@ -66,7 +65,7 @@ def evaluate(ranked: RankedList, judgments: JudgmentSet, k: int) -> MetricReport
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not ranked.nodes:
-        raise EmptyRanking(f"ranking {ranked.method!r} has no entries")
+        raise DomainError(f"ranking {ranked.method!r} has no entries")
     flags = map(judgments.is_relevant, ranked.nodes)
     top = list(islice(flags, min(k, len(ranked.nodes))))
     hits = 0
@@ -102,7 +101,7 @@ def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
     return evaluate(ranked, judgments, 1).reciprocal_rank
 
 
-def read_judgments_csv(source: str | bytes | Path | IO) -> JudgmentSet:
+def read_judgments_csv(source: str | Path) -> JudgmentSet:
     """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
     grades: dict[str, int] = {}
     with read_csv_rows(source, JUDGMENT_CSV_HEADER) as rows:

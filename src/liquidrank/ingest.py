@@ -109,14 +109,13 @@ def _range_fault(ts: int) -> str:
 
 
 @contextmanager
-def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
+def _text_lines(source: str | Path) -> Iterator[IO[str]]:
     """``source`` as UTF-8 lines with their endings: a path is read line by
-    line; the text itself (str or bytes) or an open file's whole content is
-    split in memory. Lines end only at "\n", "\r\n" or a lone "\r", never at
-    the other separators str.splitlines knows, such as U+2028, which JSON
-    allows inside strings. A UTF-8 byte-order mark that starts a path's or
-    bytes' content is skipped. A path is named in each FormatError and
-    decoding error raised while it is open."""
+    line; the text itself is split in memory. Lines end only at "\n", "\r\n"
+    or a lone "\r", never at the other separators str.splitlines knows, such
+    as U+2028, which JSON allows inside strings. A UTF-8 byte-order mark that
+    starts a path's content is skipped. A path is named in each FormatError
+    and decoding error raised while it is open."""
     if isinstance(source, Path):
         try:
             with open(source, encoding="utf-8-sig", newline="") as fh:
@@ -128,13 +127,12 @@ def _text_lines(source: str | bytes | Path | IO) -> Iterator[IO[str]]:
         except ValueError as exc:  # say, an integer past Python's digit limit
             raise ValueError(f"{source}: {exc}") from exc
     else:
-        data = source if isinstance(source, (str, bytes)) else source.read()
-        yield io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data, newline="")
+        yield io.StringIO(source, newline="")
 
 
 @contextmanager
 def read_csv_rows(
-    source: str | bytes | Path | IO,
+    source: str | Path,
     header: list[str],
     *,
     malformed: list[MalformedLine] | None = None,
@@ -142,12 +140,12 @@ def read_csv_rows(
     """The rows after ``header`` as (line number, fields), or None for empty
     input, read as they are needed inside the ``with`` block.
 
-    ``source`` is a path, the text itself (str or bytes) or an open file;
-    quoted fields may span lines. Raises FormatError at line 1 when the first
-    row is not ``header``. A row the csv module cannot read (say, a field
-    over its size limit) or one without a field per header column raises
-    FormatError at its line, or, given a ``malformed`` list, is tallied there
-    and skipped, and reading goes on at the next line.
+    ``source`` is a path or the text itself; quoted fields may span lines.
+    Raises FormatError at line 1 when the first row is not ``header``. A row
+    the csv module cannot read (say, a field over its size limit) or one
+    without a field per header column raises FormatError at its line, or,
+    given a ``malformed`` list, is tallied there and skipped, and reading goes
+    on at the next line.
     """
     with _text_lines(source) as lines:
         reader = csv.reader(lines)
@@ -206,7 +204,7 @@ def write_together() -> Iterator[dict[Path, Path]]:
 
 def temp_path(path: Path) -> Path:
     """The temporary file beside ``path`` that write_atomic writes first."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    return path.with_name(f".{path.name}.{os.getpid():010d}.tmp")
 
 
 @contextmanager
@@ -257,7 +255,7 @@ def read_json_object(path: Path) -> dict:
 
 
 def _posts(
-    source: str | bytes | Path | IO, fmt: str, strict: bool, malformed: list[MalformedLine]
+    source: str | Path, fmt: str, strict: bool, malformed: list[MalformedLine]
 ) -> Iterator[tuple[str, str, int]]:
     """Each valid post of ``source`` as (author handle, text, timestamp), read
     line by line. A malformed line raises FormatError when ``strict``, else it
@@ -326,7 +324,7 @@ def _csv_fields(row: list[str]) -> tuple[str, str, int]:
 
 
 def parse_tweets(
-    source: str | bytes | Path | IO,
+    source: str | Path,
     fmt: str = "jsonl",
     *,
     strict: bool = True,
@@ -347,7 +345,7 @@ def parse_tweets(
 
 
 def read_post_columns(
-    source: str | bytes | Path | IO, fmt: str = "jsonl", *, strict: bool = True
+    source: str | Path, fmt: str = "jsonl", *, strict: bool = True
 ) -> tuple[InteractionColumns, int, list[MalformedLine]]:
     """Parse a post dataset as parse_tweets does, straight into the columns of
     its interactions as to_interactions expands them, in one pass with no
@@ -430,7 +428,7 @@ class InteractionColumns(NamedTuple):
     timestamps: Sequence[int]
 
 
-def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColumns:
+def read_interaction_columns(source: str | Path) -> InteractionColumns:
     """Load a canonical interaction CSV into columns. Always strict: this is
     our own format. A first pass splits chunks of whole lines in one step
     each. If any chunk needs the csv module, or the columns of the whole pass
@@ -438,8 +436,6 @@ def read_interaction_columns(source: str | bytes | Path | IO) -> InteractionColu
     row by row, to name its first faulty line."""
     import numpy as np
 
-    if not isinstance(source, (str, bytes, Path)):
-        source = source.read()  # an open file, read once for both passes
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new handle gets the next id
     parts = [np.zeros((3, 0), dtype=np.int64)]
@@ -534,7 +530,7 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]]) -> InteractionColumns:
     return InteractionColumns(list(ids), *np.array(columns, dtype=np.int64).reshape(3, -1))
 
 
-def read_interactions_csv(source: str | bytes | Path | IO) -> list[InteractionRecord]:
+def read_interactions_csv(source: str | Path) -> list[InteractionRecord]:
     """Load a canonical interaction CSV as records: a view of its columns."""
     handles, raters, ratees, stamps = read_interaction_columns(source)
     rows = zip(raters.tolist(), ratees.tolist(), stamps.tolist())

@@ -44,9 +44,9 @@ from functools import cached_property
 from itertools import repeat, starmap
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import DegenerateUpdate, EmptyGraph, FormatError, NodeSetMismatch
+from .errors import DomainError, FormatError
 from .graph import RatingGraph, TimeWindow
 from .ingest import read_csv_rows, write_atomic
 
@@ -158,7 +158,7 @@ def mention_rank(graph: RatingGraph) -> RankedList:
     import numpy as np
 
     if graph.node_count == 0:
-        raise EmptyGraph("mention ranking needs at least one node")
+        raise DomainError("mention ranking needs at least one node")
     return _ranked_list(METHOD_MENTIONS, graph.nodes, np.bincount(graph.ratees, graph.weights, graph.node_count))
 
 
@@ -175,7 +175,7 @@ def liquid_rank(graph: RatingGraph, params: RankParams = RankParams()) -> Reputa
     raised. final_delta is the last absolute max change.
     """
     if graph.edge_count == 0:
-        raise EmptyGraph("reputation ranking needs at least one edge")
+        raise DomainError("reputation ranking needs at least one edge")
     import numpy as np
 
     mode = params.norm_mode
@@ -194,9 +194,7 @@ def liquid_rank(graph: RatingGraph, params: RankParams = RankParams()) -> Reputa
         update = np.bincount(ratees, weights=flow * scores[raters], minlength=n)
         update_norm = _norm(update, mode)
         if update_norm <= 0:
-            raise DegenerateUpdate(
-                f"inflow vanished at iteration {iterations + 1}: no rater holds any reputation"
-            )
+            raise DomainError(f"inflow vanished at iteration {iterations + 1}: no rater holds any reputation")
         blended = (1.0 - alpha) * scores + alpha * (update / update_norm)
         new_scores = blended / _norm(blended, mode)
         delta = float(np.max(np.abs(new_scores - scores)))
@@ -217,7 +215,11 @@ def product_rank(mentions: RankedList, liquid: RankedList) -> RankedList:
 
     (nodes, inflow), (others, reputation) = _by_node(mentions), _by_node(liquid)
     if nodes != others:
-        raise NodeSetMismatch(set(nodes) - set(others), set(others) - set(nodes))
+        raise DomainError(
+            "rankings cover different node sets; "
+            f"only in first: {sorted(set(nodes) - set(others))}, "
+            f"only in second: {sorted(set(others) - set(nodes))}"
+        )
     total = sum(mentions.scores)
     shares = inflow / total if total > 0 else np.zeros(len(nodes))
     return _ranked_list(METHOD_PRODUCT, nodes, shares * reputation)
@@ -246,7 +248,7 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
             fh.write("".join(starmap(_RANKING_ROW, rows)))
 
 
-def read_ranking_csv(source: str | bytes | Path | IO) -> RankedList:
+def read_ranking_csv(source: str | Path) -> RankedList:
     nodes: list[str] = []
     scores: list[float] = []
     seen: set[str] = set()

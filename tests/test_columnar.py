@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liquidrank.cli import main
-from liquidrank.errors import EmptyGraph
+from liquidrank.errors import DomainError
 from liquidrank.graph import TimeWindow, build_graph
 from liquidrank.ingest import InteractionRecord, read_interaction_columns
 from liquidrank.rank import liquid_rank, mention_rank, product_rank, to_ranked_list
@@ -68,7 +68,7 @@ def test_columnar_graph_and_rankings_match_counter_reference(records, window):
         assert graph.sorted_edges() == sorted((i, j, w) for (i, j), w in counts.items())
         assert graph.total_weight() == len(kept)
         if not nodes:
-            with pytest.raises(EmptyGraph):
+            with pytest.raises(DomainError, match="mention ranking needs at least one node"):
                 mention_rank(graph)
             continue
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from liquidrank import cli
-from liquidrank.errors import DegenerateUpdate, DomainError, EmptyGraph, EmptyRanking, FormatError, NodeSetMismatch
+from liquidrank.errors import DomainError, FormatError
 from liquidrank.evaluation import read_judgments_csv
 from liquidrank.ingest import read_interaction_columns, read_json_object, read_post_columns
 from liquidrank.rank import read_ranking_csv
@@ -27,7 +27,6 @@ FAULTY = {
 def test_one_exit_code_row_per_failure_kind():
     assert cli._EXIT_CODES == {OSError: cli.EXIT_IO, ValueError: cli.EXIT_FORMAT, DomainError: cli.EXIT_DOMAIN}
     assert issubclass(FormatError, ValueError)
-    assert all(issubclass(kind, DomainError) for kind in (EmptyGraph, DegenerateUpdate, EmptyRanking, NodeSetMismatch))
 
 
 @pytest.mark.parametrize("name", sorted(FAULTY))

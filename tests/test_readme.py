@@ -33,7 +33,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
 # The Knobs table's defaults that are words, as the values argparse holds.
 DEFAULT_WORDS = {"off": False, "by file suffix": None}
 # What each command needs besides its options.
-OPERANDS = {"ingest": [], "rank": [], "evaluate": ["r.csv", "--judgments", "j.csv"], "report": ["r.csv"]}
+OPERANDS = {"ingest": ["--input", "t.jsonl"], "rank": [], "evaluate": ["r.csv", "--judgments", "j.csv"], "report": ["r.csv"]}
 
 
 def _help(parser, command: str, capsys) -> str:
