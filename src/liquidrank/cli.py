@@ -12,7 +12,6 @@ failure onto its code.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -39,14 +38,9 @@ from .rank import (
     write_reputation_json,
 )
 
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_FORMAT = 2
-EXIT_DOMAIN = 3
-
 # Every exception the CLI turns into a one-line error, with its exit code.
 # FormatError and UnicodeDecodeError are ValueErrors, so they exit 2.
-_EXIT_CODES = {OSError: EXIT_IO, ValueError: EXIT_FORMAT, DomainError: EXIT_DOMAIN}
+_EXIT_CODES = {OSError: 1, ValueError: 2, DomainError: 3}
 
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -66,7 +60,7 @@ NAME_MAX = 255  # the longest file name, in bytes, on Linux's common file system
 
 def _echo(args: argparse.Namespace) -> dict:
     """The command's settings, given or default, as its manifest stage records them."""
-    config = {key: value for key, value in vars(args).items() if key != "command"}
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "run")}
     # Compared, not math.isinf: an integer end past float range is finite.
     if config.get("window_end") == math.inf:
         config["window_end"] = None
@@ -83,38 +77,31 @@ def _load_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _stage(command):
-    """Run ``command(args, manifest)`` as the stage named after it
-    (``cmd_rank`` is ``rank``): load the out dir's manifest, let the command
-    write its artifacts and fill its stage in, then list each artifact under
-    ``outputs`` by its file name, record the command's wall time and write the
-    manifest. The stage's files replace the old ones together when it ends,
-    the manifest last; a failed stage replaces none and prints nothing. Once
-    they are in place it prints ``wrote <path>`` per artifact, in write order,
-    then the text the command returned, if any."""
-    name = command.__name__.removeprefix("cmd_")
-
-    @functools.wraps(command)
-    def run(args: argparse.Namespace) -> int:
-        start = time.perf_counter()
-        manifest = _load_manifest(Path(args.out_dir))
-        with ingest_mod.write_together() as held:
-            summary = command(args, manifest)
-            artifacts = list(held)
-            for path in artifacts:
-                manifest["outputs"][path.name] = str(path)
-            manifest["timings_ms"][name] = round((time.perf_counter() - start) * 1000, 3)
-            ingest_mod.write_json(Path(args.out_dir) / MANIFEST_NAME, manifest)
+def _run_stage(args: argparse.Namespace) -> int:
+    """Run ``args.run(args, manifest)`` as the stage ``args.command``: load
+    the out dir's manifest, let the command write its artifacts and fill its
+    stage in, then list each artifact under ``outputs`` by its file name,
+    record the command's wall time and write the manifest. The stage's files
+    replace the old ones together when it ends, the manifest last; a failed
+    stage replaces none and prints nothing. Once they are in place it prints
+    ``wrote <path>`` per artifact, in write order, then the text the command
+    returned, if any."""
+    start = time.perf_counter()
+    manifest = _load_manifest(Path(args.out_dir))
+    with ingest_mod.write_together() as held:
+        summary = args.run(args, manifest)
+        artifacts = list(held)
         for path in artifacts:
-            print(f"wrote {path}")
-        if summary is not None:
-            print(summary)
-        return EXIT_OK
+            manifest["outputs"][path.name] = str(path)
+        manifest["timings_ms"][args.command] = round((time.perf_counter() - start) * 1000, 3)
+        ingest_mod.write_json(Path(args.out_dir) / MANIFEST_NAME, manifest)
+    for path in artifacts:
+        print(f"wrote {path}")
+    if summary is not None:
+        print(summary)
+    return 0
 
-    return run
 
-
-@_stage
 def cmd_ingest(args: argparse.Namespace, manifest: dict) -> str:
     """Parse the raw dataset and write the canonical interaction CSV."""
     input_path = Path(args.input)
@@ -138,7 +125,6 @@ def cmd_ingest(args: argparse.Namespace, manifest: dict) -> str:
     return f"{len(columns.raters)} interactions from {posts} tweets"
 
 
-@_stage
 def cmd_rank(args: argparse.Namespace, manifest: dict) -> None:
     """Write the mention, liquid and product rankings, then reputation.json."""
     params = RankParams(epsilon=args.epsilon, max_iters=args.max_iters, alpha=args.alpha, norm_mode=args.norm)
@@ -208,7 +194,6 @@ def _named_rankings(ranking_paths: list[str], out_dir: str, artifact: str) -> li
     return named
 
 
-@_stage
 def cmd_evaluate(args: argparse.Namespace, manifest: dict) -> str:
     """Score each ranking against the judgments; return a comparison table."""
     judgments = read_judgments_csv(Path(args.judgments))
@@ -271,7 +256,6 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     return "\n".join(parts) + "\n"
 
 
-@_stage
 def cmd_report(args: argparse.Namespace, manifest: dict) -> None:
     """Emit a bar-chart file per ranking CSV."""
     render = render_txt_chart if args.chart_format == "txt" else render_svg_chart
@@ -289,6 +273,13 @@ def number(text: str) -> int | float:
         return float(text)
 
 
+def file_path(text: str) -> str:
+    """An ``--input`` value: any path but the empty one, which argparse reports as a usage error."""
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 def cutoff(text: str) -> int:
     """A ``--k`` value: an integer >= 1; argparse reports any other text as a usage error."""
     k = int(text)
@@ -304,21 +295,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_stage(name: str, command, help: str) -> argparse.ArgumentParser:
+    def add_stage(name: str, run, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(command=command)
+        p.set_defaults(run=run)
         p.add_argument("--out-dir", default="out", help="directory for stage artifacts (default: %(default)s)")
         return p
 
     p_ingest = add_stage("ingest", cmd_ingest, "parse a tweet dataset into interactions.csv")
-    p_ingest.add_argument("--input", required=True, help="path to the raw dataset")
+    p_ingest.add_argument("--input", type=file_path, required=True, help="path to the raw dataset")
     p_ingest.add_argument("--format", choices=POST_FORMATS, help="input format (default: by file suffix)")
     p_ingest.add_argument(
         "--strict", action="store_true", help="fail on the first malformed line instead of skipping it"
     )
 
     p_rank = add_stage("rank", cmd_rank, "compute rankings from interactions.csv")
-    p_rank.add_argument("--input", help="interaction CSV (default: <out-dir>/interactions.csv)")
+    p_rank.add_argument("--input", type=file_path, help="interaction CSV (default: <out-dir>/interactions.csv)")
     for flag, kind, default, text in [
         ("--window-start", int, TimeWindow.start, "window start, epoch seconds (inclusive)"),
         ("--window-end", number, TimeWindow.end, "window end, epoch seconds (exclusive)"),
@@ -356,15 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.command(args)
+        return _run_stage(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

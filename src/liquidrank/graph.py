@@ -37,9 +37,6 @@ class TimeWindow:
             raise ValueError(f"window start {self.start} must be < end {self.end}")
 
 
-UNBOUNDED = TimeWindow()
-
-
 @dataclass(frozen=True, eq=False)
 class RatingGraph:
     """Weighted directed mention graph.
@@ -101,7 +98,7 @@ def _rating_graph(handles: list[str], raters, ratees, weights) -> RatingGraph:
 
 def build_graph(
     records: Iterable[InteractionRecord] | InteractionColumns,
-    window: TimeWindow = UNBOUNDED,
+    window: TimeWindow = TimeWindow(),
 ) -> RatingGraph:
     """Count mentions per (rater, ratee) pair among records inside the window.
 

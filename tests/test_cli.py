@@ -573,6 +573,10 @@ def test_window_end_flag_keeps_the_rows_below_an_integer_past_float_precision(wo
             id="ingest_no_strict",
         ),
         pytest.param(["ingest"], "the following arguments are required: --input", id="ingest_no_input"),
+        # An empty --input, say from an unset variable, is no path: rank does
+        # not fall back to <out-dir>/interactions.csv for it.
+        pytest.param(["ingest", "--input", ""], "argument --input: invalid file_path value: ''", id="ingest_empty_input"),
+        pytest.param(["rank", "--input", ""], "argument --input: invalid file_path value: ''", id="rank_empty_input"),
     ],
 )
 def test_k_is_a_usage_error_before_evaluate(workspace, capsys, argv, usage):

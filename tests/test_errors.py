@@ -25,7 +25,7 @@ FAULTY = {
 
 
 def test_one_exit_code_row_per_failure_kind():
-    assert cli._EXIT_CODES == {OSError: cli.EXIT_IO, ValueError: cli.EXIT_FORMAT, DomainError: cli.EXIT_DOMAIN}
+    assert cli._EXIT_CODES == {OSError: 1, ValueError: 2, DomainError: 3}
     assert issubclass(FormatError, ValueError)
 
 

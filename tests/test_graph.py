@@ -3,7 +3,6 @@ import math
 import pytest
 
 from liquidrank.graph import (
-    UNBOUNDED,
     RatingGraph,
     TimeWindow,
     build_graph,
@@ -68,8 +67,8 @@ def test_window_validation_and_unbounded_window():
         TimeWindow(start=5, end=5)
     with pytest.raises(ValueError):
         TimeWindow(start=9, end=2)
-    assert math.isinf(UNBOUNDED.end)
-    graph = build_graph(records(("a", "b", 0), ("c", "b", 10**12)), UNBOUNDED)
+    assert math.isinf(TimeWindow().end)
+    graph = build_graph(records(("a", "b", 0), ("c", "b", 10**12)), TimeWindow())
     assert inflow(graph) == {"a": 0, "b": 2, "c": 0}
 
 

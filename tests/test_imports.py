@@ -1,7 +1,8 @@
 """The package imports only the stdlib; numpy loads inside the reputation
-loop alone, so ingest runs without it, and nothing needs scipy. Each check
-runs in a fresh interpreter, since this test process has long since imported
-numpy. The same way, `python -m liquidrank.cli` exits with main's return."""
+loop alone, so ingest, evaluate and report run without it, and nothing needs
+scipy. Each check runs in a fresh interpreter, since this test process has
+long since imported numpy. The same way, `python -m liquidrank.cli` exits
+with main's return."""
 
 import os
 import subprocess
@@ -63,6 +64,21 @@ def test_ingest_runs_without_numpy(tmp_path, name, text):
     result = _python("-c", NO_NUMPY, "ingest", "--input", name, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\na,b,1\n"
+
+
+def test_evaluate_and_report_run_without_numpy(tmp_path):
+    (tmp_path / "ranking.csv").write_text("rank,node,score,method\n1,a,2,liquid\n2,b,1,liquid\n", encoding="utf-8")
+    (tmp_path / "judgments.csv").write_text("node,grade\na,1\nb,0\n", encoding="utf-8")
+    for argv in (
+        ["evaluate", "ranking.csv", "--judgments", "judgments.csv"],
+        ["report", "ranking.csv"],
+        ["report", "ranking.csv", "--format", "svg"],
+    ):
+        result = _python("-c", NO_NUMPY, *argv, cwd=tmp_path)
+        assert result.returncode == 0, (argv, result.stderr)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "chart_liquid.svg", "chart_liquid.txt", "manifest.json", "report_liquid.json"
+    ]
 
 
 @pytest.mark.parametrize("name, code", [("pairs.csv", 0), ("missing.csv", 1)])
