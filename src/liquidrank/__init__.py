@@ -6,5 +6,5 @@ reputation flow to a fixed point (`graph`, `rank`), then score rankings
 against graded judgments (`evaluation`). The `cli` module wires the stages
 together behind a `liquidrank` console command. Each public name is
 imported from the module that defines it; `import liquidrank` binds none.
-Every reader takes a `Path` to read or the text itself as a str.
+Every reader opens a path, a str or a `Path`, and names it in its errors.
 """

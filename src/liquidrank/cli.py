@@ -265,8 +265,8 @@ def cmd_report(args: argparse.Namespace, manifest: dict) -> None:
 
 
 def number(text: str) -> int | float:
-    """An integral literal as an exact int, else a float: ``--window-end``
-    keeps an integer bound past float range exact."""
+    """An integral literal as an exact int, else a float: a window bound
+    past float range stays exact."""
     try:
         return int(text)
     except ValueError:
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = add_stage("rank", cmd_rank, "compute rankings from interactions.csv")
     p_rank.add_argument("--input", type=file_path, help="interaction CSV (default: <out-dir>/interactions.csv)")
     for flag, kind, default, text in [
-        ("--window-start", int, TimeWindow.start, "window start, epoch seconds (inclusive)"),
+        ("--window-start", number, TimeWindow.start, "window start, epoch seconds (inclusive)"),
         ("--window-end", number, TimeWindow.end, "window end, epoch seconds (exclusive)"),
         ("--epsilon", float, RankParams.epsilon, "convergence threshold"),
         ("--max-iters", int, RankParams.max_iters, "iteration cap"),

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 
 class FormatError(ValueError):
-    """Malformed input file content. Carries the offending line number, and
-    the file's name when the reader opened it."""
+    """Malformed input file content. Carries the offending line number and
+    the file's name, which the reader that opened the file adds on the way out."""
 
     def __init__(self, line: int, reason: str, source: str | None = None):
         self.line = line

@@ -26,15 +26,15 @@ class TimeWindow:
     """Half-open interval [start, end) in UTC epoch seconds.
 
     Half-open so consecutive windows partition time without double counting.
-    The default window is unbounded (end = +inf).
+    The start is finite; the default window is unbounded (end = +inf).
     """
 
-    start: int = 0
+    start: float = 0
     end: float = math.inf
 
     def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError(f"window start {self.start} must be < end {self.end}")
+        if not -math.inf < self.start < self.end:
+            raise ValueError(f"window start {self.start} must be finite and < end {self.end}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +121,10 @@ def build_graph(
 
 def _last_before(bound: float) -> int:
     """The last int64 before ``bound``, or -2**63 if none is: an exact integer
-    for any int or float bound, so that comparing int64 timestamps with it
-    is exact for every timestamp in [0, MAX_TIMESTAMP]."""
-    if abs(bound) == math.inf:
-        return MAX_TIMESTAMP if bound > 0 else -MAX_TIMESTAMP - 1
+    for any int, float or +inf bound, so that comparing int64 timestamps with
+    it is exact for every timestamp in [0, MAX_TIMESTAMP]."""
+    if bound == math.inf:
+        return MAX_TIMESTAMP
     return min(max(math.ceil(bound) - 1, -MAX_TIMESTAMP - 1), MAX_TIMESTAMP)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -110,24 +109,21 @@ def _range_fault(ts: int) -> str:
 
 @contextmanager
 def _text_lines(source: str | Path) -> Iterator[IO[str]]:
-    """``source`` as UTF-8 lines with their endings: a path is read line by
-    line; the text itself is split in memory. Lines end only at "\n", "\r\n"
-    or a lone "\r", never at the other separators str.splitlines knows, such
-    as U+2028, which JSON allows inside strings. A UTF-8 byte-order mark that
-    starts a path's content is skipped. A path is named in each FormatError
-    and decoding error raised while it is open."""
-    if isinstance(source, Path):
-        try:
-            with open(source, encoding="utf-8-sig", newline="") as fh:
-                yield fh
-        except FormatError as exc:
-            raise FormatError(exc.line, exc.reason, str(source)) from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from exc
-        except ValueError as exc:  # say, an integer past Python's digit limit
-            raise ValueError(f"{source}: {exc}") from exc
-    else:
-        yield io.StringIO(source, newline="")
+    """The file at path ``source`` as UTF-8 lines with their endings, read
+    line by line. Lines end only at "\n", "\r\n" or a lone "\r", never at the
+    other separators str.splitlines knows, such as U+2028, which JSON allows
+    inside strings. A UTF-8 byte-order mark that starts the file is skipped.
+    The path is named in each FormatError and decoding error raised while
+    the file is open."""
+    try:
+        with open(Path(source), encoding="utf-8-sig", newline="") as fh:  # Path: never a file descriptor
+            yield fh
+    except FormatError as exc:
+        raise FormatError(exc.line, exc.reason, str(source)) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # say, an integer past Python's digit limit
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 @contextmanager
@@ -140,7 +136,7 @@ def read_csv_rows(
     """The rows after ``header`` as (line number, fields), or None for empty
     input, read as they are needed inside the ``with`` block.
 
-    ``source`` is a path or the text itself; quoted fields may span lines.
+    ``source`` is a file's path, a str or a Path; quoted fields may span lines.
     Raises FormatError at line 1 when the first row is not ``header``. A row
     the csv module cannot read (say, a field over its size limit) or one
     without a field per header column raises FormatError at its line, or,
@@ -233,9 +229,9 @@ def sha256_digest(path: Path) -> str:
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    """Write ``obj`` as JSON, indented with sorted keys, plus a newline."""
+    """Write ``obj`` as JSON, indented with sorted keys, plus a newline; NaN or ±inf raises ValueError."""
     with write_atomic(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -298,9 +298,9 @@ def write_reputation_json(
     Python; the flat score map, already in key order, goes through its C
     encoder instead, with the newline and indent carried by the separator."""
     snapshot = reputation_snapshot(state, window, params)
-    scores = json.dumps(snapshot.pop("scores"), separators=(",\n    ", ": "))
+    scores = json.dumps(snapshot.pop("scores"), separators=(",\n    ", ": "), allow_nan=False)
     if scores != "{}":
         scores = "{\n    " + scores[1:-1] + "\n  }"
-    text = json.dumps({**snapshot, "scores": None}, indent=2, sort_keys=True)
+    text = json.dumps({**snapshot, "scores": None}, indent=2, sort_keys=True, allow_nan=False)
     with write_atomic(path) as fh:
         fh.write(text.replace('"scores": null', '"scores": ' + scores, 1) + "\n")

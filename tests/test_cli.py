@@ -180,6 +180,25 @@ def test_rank_window_filters_edges(workspace):
     assert reputation["window"] == {"start": 100, "end": 250.0}
 
 
+def test_rank_window_start_takes_a_number(workspace):
+    # A start of 1.5 keeps the rows stamped 2 and later, as a start of 2 does.
+    (workspace / "edges.csv").write_text("rater,ratee,timestamp\na,b,1\nb,a,2\nc,a,3\n", encoding="utf-8")
+    names, rankings = [f"ranking_{m}.csv" for m in ("mentions", "liquid", "product")], {}
+    for start in ("1", "1.5", "2"):
+        assert main(["rank", "--input", "edges.csv", "--window-start", start, "--out-dir", start]) == 0
+        rankings[start] = [(workspace / start / name).read_bytes() for name in names]
+    assert rankings["1.5"] == rankings["2"] != rankings["1"]
+    assert json.loads((workspace / "1.5" / "reputation.json").read_text())["window"] == {"start": 1.5, "end": None}
+
+
+@pytest.mark.parametrize("start", ["-inf", "nan", "inf"])
+def test_rank_window_start_that_is_not_finite_exits_2(workspace, capsys, start):
+    (workspace / "edges.csv").write_text("rater,ratee,timestamp\na,b,1\n", encoding="utf-8")
+    assert main(["rank", "--input", "edges.csv", f"--window-start={start}", "--out-dir", "fresh"]) == 2
+    assert capsys.readouterr().err == f"error: window start {float(start)} must be finite and < end inf\n"
+    assert not (workspace / "fresh").exists()
+
+
 def test_rank_nonconvergence_warns_but_exits_0(workspace, capsys):
     (workspace / "cycle.csv").write_text(
         "rater,ratee,timestamp\na,b,1\nb,a,1\nb,a,1\nb,a,1\n", encoding="utf-8"
@@ -714,7 +733,7 @@ def test_cli_pipeline_equals_direct_library_calls(workspace):
     assert main(["rank"]) == 0
     via_cli = read_ranking_csv(workspace / "out" / "ranking_mentions.csv")
 
-    records = to_interactions(parse_tweets(tweets, "jsonl").tweets)
+    records = to_interactions(parse_tweets("three.jsonl", "jsonl").tweets)
     assert len(records) == 4
     via_library = mention_rank(build_graph(records))
     assert via_cli.entries == via_library.entries

@@ -54,7 +54,7 @@ def entries(ranked):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(records=record_lists(), window=windows())
-def test_columnar_graph_and_rankings_match_counter_reference(records, window):
+def test_columnar_graph_and_rankings_match_counter_reference(text_file, records, window):
     kept = [r for r in records if window.start <= r.timestamp < window.end]
     counts = Counter((r.rater, r.ratee) for r in kept)
     nodes = tuple(sorted({handle for pair in counts for handle in pair}))
@@ -63,7 +63,7 @@ def test_columnar_graph_and_rankings_match_counter_reference(records, window):
         inflow[ratee] += weight
 
     text = "rater,ratee,timestamp\n" + "".join(f"{r.rater},{r.ratee},{r.timestamp}\n" for r in records)
-    for graph in (build_graph(records, window), build_graph(read_interaction_columns(text), window)):
+    for graph in (build_graph(records, window), build_graph(read_interaction_columns(text_file(text)), window)):
         assert graph.nodes == nodes
         assert graph.sorted_edges() == sorted((i, j, w) for (i, j), w in counts.items())
         assert graph.total_weight() == len(kept)

@@ -1,6 +1,8 @@
-"""One failure path: a reader given a path names it in each format error, and
-the CLI maps every failure onto its exit code through one row per code."""
+"""One failure path: every reader opens a path, a str or a Path alike, and
+names it in each format error, and the CLI maps every failure onto its exit
+code through one row per code."""
 
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,19 +10,50 @@ import pytest
 from liquidrank import cli
 from liquidrank.errors import DomainError, FormatError
 from liquidrank.evaluation import read_judgments_csv
-from liquidrank.ingest import read_interaction_columns, read_json_object, read_post_columns
+from liquidrank.ingest import (
+    parse_tweets,
+    read_csv_rows,
+    read_interaction_columns,
+    read_interactions_csv,
+    read_json_object,
+    read_post_columns,
+)
 from liquidrank.rank import read_ranking_csv
 
-# Each reader, a text it rejects, and the line it names.
-FAULTY = {
-    "posts": (
-        lambda source: read_post_columns(source, "jsonl", strict=True),
-        '{"author": "a", "text": "@b", "timestamp": 1}\n{"author": "a"}\n',
+
+def _post_columns(source):
+    columns, posts, malformed = read_post_columns(source, "jsonl", strict=True)
+    return [list(column) for column in columns], posts, malformed
+
+
+def _csv_rows(source):
+    with read_csv_rows(source, ["node", "grade"]) as rows:
+        return list(rows)
+
+
+POSTS = '{"author": "a", "text": "@b", "timestamp": 1}\n'
+INTERACTIONS = "rater,ratee,timestamp\na,b,1\n"
+# Each reader, as a function whose results compare with ==, a text it reads,
+# a text it rejects and the line it names.
+READERS = {
+    "posts": (_post_columns, POSTS, POSTS + '{"author": "a"}\n', 2),
+    "tweets": (parse_tweets, POSTS, POSTS + '{"author": "a"}\n', 2),
+    "interactions": (
+        lambda source: [list(column) for column in read_interaction_columns(source)],
+        INTERACTIONS,
+        INTERACTIONS + "a,a,2\n",
+        3,
+    ),
+    "interaction-records": (read_interactions_csv, INTERACTIONS, INTERACTIONS + "a,b,-1\n", 3),
+    "csv-rows": (_csv_rows, "node,grade\na,7\n", "node,grade\na\n", 2),
+    "json": (read_json_object, '{"k": 5}\n', "{}\n[]\n", 2),
+    "ranking": (
+        lambda source: asdict(read_ranking_csv(source)),
+        "rank,node,score,method\n1,a,2,m\n",
+        "rank,node,score,method\n1,a,x,m\n",
         2,
     ),
-    "interactions": (read_interaction_columns, "rater,ratee,timestamp\na,b,1\na,a,2\n", 3),
-    "ranking": (read_ranking_csv, "rank,node,score,method\n1,a,x,m\n", 2),
-    "judgments": (read_judgments_csv, "node,grade\na,7\n", 2),
+    "judgments": (lambda source: asdict(read_judgments_csv(source)), "node,grade\na,2\n", "node,grade\na,7\n", 2),
 }
 
 
@@ -29,9 +62,23 @@ def test_one_exit_code_row_per_failure_kind():
     assert issubclass(FormatError, ValueError)
 
 
-@pytest.mark.parametrize("name", sorted(FAULTY))
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_reads_a_str_path_as_its_path(tmp_path, name):
+    read, text, _, _ = READERS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text, encoding="utf-8")
+    assert read(str(path)) == read(path)
+
+
+def test_reader_takes_no_file_descriptor():
+    # open() would read the descriptor and close it on the way out.
+    with pytest.raises(TypeError):
+        read_json_object(0)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_names_the_path_it_opens_once(tmp_path, name):
-    read, text, line = FAULTY[name]
+    read, _, text, line = READERS[name]
     path = tmp_path / f"{name}.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError) as from_path:
@@ -39,15 +86,15 @@ def test_reader_names_the_path_it_opens_once(tmp_path, name):
     assert (from_path.value.source, from_path.value.line) == (str(path), line)
     message = str(from_path.value)
     assert message.startswith(f"{path}:{line}: ") and message.count(str(path)) == 1
-    with pytest.raises(FormatError) as from_text:
-        read(text)
-    assert from_text.value.source is None
-    assert str(from_text.value) == f"line {line}: {from_path.value.reason}"
+    with pytest.raises(FormatError) as from_str:
+        read(str(path))
+    assert from_str.value.source == str(path)
+    assert str(from_str.value) == message
 
 
-@pytest.mark.parametrize("name", sorted(FAULTY))
+@pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_names_the_path_it_cannot_decode(tmp_path, name):
-    read, text, _ = FAULTY[name]
+    read, _, text, _ = READERS[name]
     path = tmp_path / f"{name}.txt"
     path.write_bytes(text.encode() + b"\xff\n")
     with pytest.raises(ValueError) as exc_info:

@@ -162,7 +162,7 @@ def test_judgments_csv_roundtrip(tmp_path):
     path = tmp_path / "judgments.csv"
     path.write_text("node,grade\n" + "".join(f"{n},{g}\n" for n, g in judgments.grades.items()), encoding="utf-8")
     assert read_judgments_csv(path).grades == judgments.grades
-    assert read_judgments_csv(path.read_text(encoding="utf-8")).relevant_total() == 1
+    assert read_judgments_csv(str(path)).relevant_total() == 1
 
 
 @pytest.mark.parametrize(
@@ -173,14 +173,14 @@ def test_judgments_csv_roundtrip(tmp_path):
     ],
 )
 def test_readers_take_text_or_path_alike(tmp_path, read, text):
-    # A str source is the text itself; a Path is read.
+    # A str is a path, read as its Path is.
     path = tmp_path / "in.csv"
     path.write_text(text, encoding="utf-8")
-    assert asdict(read(text)) == asdict(read(path))
+    assert asdict(read(str(path))) == asdict(read(path))
 
 
-def test_read_judgments_csv_empty_file():
-    assert read_judgments_csv("").grades == {}
+def test_read_judgments_csv_empty_file(text_file):
+    assert read_judgments_csv(text_file("")).grades == {}
 
 
 @pytest.mark.parametrize(
@@ -193,9 +193,9 @@ def test_read_judgments_csv_empty_file():
         ("node,grade\na\n", 2, "2 columns"),
     ],
 )
-def test_read_judgments_csv_rejects_malformed(text, line, reason_part):
+def test_read_judgments_csv_rejects_malformed(text_file, text, line, reason_part):
     with pytest.raises(FormatError) as exc_info:
-        read_judgments_csv(text)
+        read_judgments_csv(text_file(text))
     assert exc_info.value.line == line
     assert reason_part in exc_info.value.reason
 

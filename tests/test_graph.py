@@ -72,6 +72,14 @@ def test_window_validation_and_unbounded_window():
     assert inflow(graph) == {"a": 0, "b": 2, "c": 0}
 
 
+@pytest.mark.parametrize("start", [-math.inf, math.nan, math.inf])
+def test_window_start_must_be_finite(start):
+    # A start of -inf would be written to reputation.json as -Infinity, which is not JSON.
+    with pytest.raises(ValueError, match=f"window start {start} must be finite and < end inf"):
+        TimeWindow(start=start)
+    assert TimeWindow(start=1.5).start == 1.5
+
+
 def test_from_edge_counts_matches_build_graph():
     counts = {("a", "b"): 2, ("b", "a"): 1, ("c", "a"): 4}
     stream = []
@@ -116,13 +124,13 @@ EDGE_STAMPS = [0, 1, 2, 10**18, 2**63 - 2, 2**63 - 1]
     [(-5, 1.5), (-5, 1e19), (0, 1.0), (1, 2.5), (2, 2**63 - 1), (2**63 - 1, math.inf), (0, 9.223372036854775e18),
      (0, 2.0**63), (2**63, 2**64), (2**63 - 1, 2**63), (-(2**70), -(2**65))],
 )
-def test_window_mask_is_exact_at_the_int64_edges(start, end):
+def test_window_mask_is_exact_at_the_int64_edges(text_file, start, end):
     window = TimeWindow(start=start, end=end)
     kept = [ts for ts in EDGE_STAMPS if start <= ts < end]
     text = "rater,ratee,timestamp\n" + "".join(f"a,b{k},{ts}\n" for k, ts in enumerate(EDGE_STAMPS))
     as_lists = InteractionColumns(["a", *(f"b{k}" for k in range(len(EDGE_STAMPS)))],
                                   [0] * len(EDGE_STAMPS), list(range(1, len(EDGE_STAMPS) + 1)), EDGE_STAMPS)
-    for columns in (read_interaction_columns(text), as_lists):
+    for columns in (read_interaction_columns(text_file(text)), as_lists):
         graph = build_graph(columns, window)
         assert [int(ratee.removeprefix("b")) for _, ratee, _ in graph.sorted_edges()] == [
             EDGE_STAMPS.index(ts) for ts in kept

@@ -80,12 +80,12 @@ def _jsonl(*objs):
     return "\n".join(json.dumps(o) for o in objs) + "\n"
 
 
-def test_parse_jsonl_happy_path():
+def test_parse_jsonl_happy_path(text_file):
     text = _jsonl(
         {"author": "alice", "text": "hi @bob", "timestamp": 10},
         {"author": "Bob", "text": "yo", "timestamp": 20, "extra": "ignored"},
     )
-    result = parse_tweets(text, "jsonl")
+    result = parse_tweets(text_file(text), "jsonl")
     assert result.tweets == [
         TweetRecord("alice", "hi @bob", 10),
         TweetRecord("bob", "yo", 20),
@@ -93,9 +93,9 @@ def test_parse_jsonl_happy_path():
     assert result.malformed == []
 
 
-def test_parse_jsonl_skips_blank_lines():
+def test_parse_jsonl_skips_blank_lines(text_file):
     text = '\n{"author": "a", "text": "", "timestamp": 0}\n\n'
-    result = parse_tweets(text, "jsonl")
+    result = parse_tweets(text_file(text), "jsonl")
     assert len(result.tweets) == 1
 
 
@@ -114,15 +114,15 @@ def test_parse_jsonl_skips_blank_lines():
         ('{"author": "a", "text": "t", "timestamp": -3}', "timestamp must be >= 0"),
     ],
 )
-def test_parse_jsonl_strict_raises_with_line_number(line, reason_part):
+def test_parse_jsonl_strict_raises_with_line_number(text_file, line, reason_part):
     good = '{"author": "ok", "text": "fine", "timestamp": 1}'
     with pytest.raises(FormatError) as exc_info:
-        parse_tweets(good + "\n" + line, "jsonl")
+        parse_tweets(text_file(good + "\n" + line), "jsonl")
     assert exc_info.value.line == 2
     assert reason_part in exc_info.value.reason
 
 
-def test_parse_jsonl_lenient_tallies_and_continues():
+def test_parse_jsonl_lenient_tallies_and_continues(text_file):
     text = "\n".join(
         [
             '{"author": "a", "text": "one", "timestamp": 1}',
@@ -131,18 +131,18 @@ def test_parse_jsonl_lenient_tallies_and_continues():
             '{"author": "c"}',
         ]
     )
-    result = parse_tweets(text, "jsonl", strict=False)
+    result = parse_tweets(text_file(text), "jsonl", strict=False)
     assert [t.text for t in result.tweets] == ["one", "two"]
     assert [m.line for m in result.malformed] == [2, 4]
     assert all(m.reason for m in result.malformed)
 
 
-def test_parse_checks_an_author_on_every_line_until_it_passes():
+def test_parse_checks_an_author_on_every_line_until_it_passes(text_file):
     text = "\n".join(
         json.dumps({"author": author, "text": "@x", "timestamp": 1})
         for author in ["Bad One", "Bad One", "Alice", "alice", "ALICE", 7]
     )
-    result = parse_tweets(text, "jsonl", strict=False)
+    result = parse_tweets(text_file(text), "jsonl", strict=False)
     assert [t.author for t in result.tweets] == ["alice", "alice", "alice"]
     assert [(m.line, m.reason) for m in result.malformed] == [
         (1, "author 'Bad One' is not a valid handle"),
@@ -151,41 +151,40 @@ def test_parse_checks_an_author_on_every_line_until_it_passes():
     ]
 
 
-def test_parse_csv_happy_path():
+def test_parse_csv_happy_path(text_file):
     text = 'author,text,timestamp\nalice,"hi @bob, @carol",5\nbob,plain,6\n'
-    result = parse_tweets(text, "csv")
+    result = parse_tweets(text_file(text), "csv")
     assert result.tweets == [
         TweetRecord("alice", "hi @bob, @carol", 5),
         TweetRecord("bob", "plain", 6),
     ]
 
 
-def test_parse_csv_empty_file_is_zero_tweets():
-    result = parse_tweets("", "csv")
+def test_parse_csv_empty_file_is_zero_tweets(text_file):
+    result = parse_tweets(text_file(""), "csv")
     assert result.tweets == []
     assert result.malformed == []
 
 
-def test_parse_csv_header_mismatch_raises_even_lenient():
+def test_parse_csv_header_mismatch_raises_even_lenient(text_file):
     with pytest.raises(FormatError) as exc_info:
-        parse_tweets("rater,ratee,timestamp\n", "csv", strict=False)
+        parse_tweets(text_file("rater,ratee,timestamp\n"), "csv", strict=False)
     assert exc_info.value.line == 1
 
 
-def test_parse_csv_bad_row_strict_vs_lenient():
-    text = "author,text,timestamp\nalice,hi,notanumber\nbob,ok,7\n"
+def test_parse_csv_bad_row_strict_vs_lenient(text_file):
+    path = text_file("author,text,timestamp\nalice,hi,notanumber\nbob,ok,7\n")
     with pytest.raises(FormatError) as exc_info:
-        parse_tweets(text, "csv")
+        parse_tweets(path, "csv")
     assert exc_info.value.line == 2
-    result = parse_tweets(text, "csv", strict=False)
+    result = parse_tweets(path, "csv", strict=False)
     assert [t.author for t in result.tweets] == ["bob"]
     assert [m.line for m in result.malformed] == [2]
 
 
-def test_parse_csv_wrong_column_count():
-    text = "author,text,timestamp\nalice,hi\n"
+def test_parse_csv_wrong_column_count(text_file):
     with pytest.raises(FormatError) as exc_info:
-        parse_tweets(text, "csv")
+        parse_tweets(text_file("author,text,timestamp\nalice,hi\n"), "csv")
     assert "expected 3 columns, got 2" in exc_info.value.reason
 
 
@@ -272,26 +271,25 @@ def test_interactions_csv_is_byte_stable(tmp_path):
         ("alice,bob", "3 columns"),
     ],
 )
-def test_read_interactions_csv_rejects_bad_rows(row, reason_part):
-    text = f"rater,ratee,timestamp\n{row}\n"
+def test_read_interactions_csv_rejects_bad_rows(text_file, row, reason_part):
     with pytest.raises(FormatError) as exc_info:
-        read_interactions_csv(text)
+        read_interactions_csv(text_file(f"rater,ratee,timestamp\n{row}\n"))
     assert exc_info.value.line == 2
     assert reason_part in exc_info.value.reason
 
 
-def test_read_interactions_csv_fails_at_first_bad_handle():
+def test_read_interactions_csv_fails_at_first_bad_handle(text_file):
     text = "rater,ratee,timestamp\nalice,bob,1\nalice,Bad,2\ncarol,bob,3\nBad,alice,4\n"
     with pytest.raises(FormatError) as exc_info:
-        read_interactions_csv(text)
+        read_interactions_csv(text_file(text))
     assert exc_info.value.line == 3
     assert exc_info.value.reason == "ratee 'Bad' is not a valid handle"
 
 
-def test_read_interactions_csv_header_check():
+def test_read_interactions_csv_header_check(text_file):
     with pytest.raises(FormatError):
-        read_interactions_csv("a,b,c\n")
-    assert read_interactions_csv("") == []
+        read_interactions_csv(text_file("a,b,c\n"))
+    assert read_interactions_csv(text_file("")) == []
 
 
 # Raw U+2028, U+2029 and U+0085 are valid inside a JSON string, and
@@ -307,11 +305,10 @@ SEPARATOR_POSTS = [
 
 
 def _source(kind, text, tmp_path):
-    if kind == "path":
-        path = tmp_path / "posts.jsonl"
-        path.write_bytes(text.encode("utf-8"))
-        return path
-    return text
+    """A file holding ``text``, named by a Path or by a str."""
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    return path if kind == "path" else str(path)
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
@@ -342,14 +339,16 @@ def test_jsonl_lines_end_only_at_universal_newlines(tmp_path, kind, ending):
     ],
     ids=["padded", "extra-data", "bom", "truncated", "separator-after"],
 )
-def test_jsonl_line_is_read_as_json_loads_reads_it(line):
+def test_jsonl_line_is_read_as_json_loads_reads_it(text_file, line):
     # Each line is decoded by json's scanner directly; anything but a bare
-    # value must still get json.loads' result or error message.
+    # value must still get json.loads' result or error message. The file
+    # starts with a byte-order mark of its own, which the reader skips, so
+    # the line reaches the parser as given, its own mark included.
     try:
         expected = TweetRecord(**json.loads(line))
     except ValueError as exc:
         expected = MalformedLine(1, str(exc))
-    result = parse_tweets(line + "\r\n", "jsonl", strict=False)
+    result = parse_tweets(text_file("\ufeff" + line + "\r\n"), "jsonl", strict=False)
     assert result.tweets + result.malformed == [expected]
 
 

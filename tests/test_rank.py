@@ -401,9 +401,9 @@ def test_format_score_twelve_significant_digits():
         ("rank,node,score,method\n1,a,2,x\n2,b,1,\n", 3, "mixed methods 'x' and ''"),
     ],
 )
-def test_read_ranking_csv_rejects_malformed(text, line, reason_part):
+def test_read_ranking_csv_rejects_malformed(text_file, text, line, reason_part):
     with pytest.raises(FormatError) as exc_info:
-        read_ranking_csv(text)
+        read_ranking_csv(text_file(text))
     assert exc_info.value.line == line
     assert reason_part in exc_info.value.reason
 

@@ -131,7 +131,7 @@ def test_bulk_reader_matches_the_row_loop(text, chunk):
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "interactions.csv"
         path.write_bytes(text.encode("utf-8"))
-        for source in (text, path):
+        for source in (str(path), path):
             assert outcome(bulk, source) == expected
 
 
@@ -140,16 +140,17 @@ AWKWARD_LINES = ODD_LINES + [f"a,b,{t}" for t in STAMPS] + [f"{h},b,1" for h in 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("awkward", AWKWARD_LINES)
-def test_each_awkward_line_at_every_chunk_boundary(awkward, ending):
+def test_each_awkward_line_at_every_chunk_boundary(text_file, awkward, ending):
     lines = ["rater,ratee,timestamp", "c_1,zz9,5", "zz9,q,6", awkward, "q,a,7", "a,c_1,8"]
     text = "".join(line + ending for line in lines)
     expected = outcome(reference_columns, text)
+    path = text_file(text)
     for chunk in range(1, len(text) + 2):
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
-            assert outcome(lambda s: [list(c) for c in read_interaction_columns(s)], text) == expected, chunk
+            assert outcome(lambda s: [list(c) for c in read_interaction_columns(s)], path) == expected, chunk
 
 
-def test_bulk_reader_at_its_own_chunk_size():
+def test_bulk_reader_at_its_own_chunk_size(text_file):
     rows = [f"{'ab'[k % 2]}{k % 97},c{k % 89},{k}\n" for k in range(20_000)]
     for bad_at in (None, 4_321, 19_999):
         lines = list(rows)
@@ -157,7 +158,7 @@ def test_bulk_reader_at_its_own_chunk_size():
             lines[bad_at] = "a,b,-7\n"
         text = "rater,ratee,timestamp\n" + "".join(lines)
         expected = outcome(reference_columns, text)
-        assert outcome(lambda s: [list(c) for c in read_interaction_columns(s)], text) == expected
+        assert outcome(lambda s: [list(c) for c in read_interaction_columns(s)], text_file(text)) == expected
 
 
 SCORES = st.one_of(
@@ -195,6 +196,18 @@ def test_reputation_json_bytes_equal_json_dump(scores, end, delta):
         path = Path(tmp) / "reputation.json"
         write_reputation_json(state, window, params, path)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_writers_refuse_a_number_json_cannot_hold(tmp_path, value):
+    # json writes these as Infinity, -Infinity and NaN, which no JSON parser need accept.
+    with pytest.raises(ValueError):
+        ingest.write_json(tmp_path / "x.json", {"x": value})
+    for scores, delta in (({"a": value}, 0.0), ({"a": 1.0}, value)):
+        state = state_from_scores(scores, final_delta=delta)
+        with pytest.raises(ValueError):
+            write_reputation_json(state, TimeWindow(), RankParams(), tmp_path / "r.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_atomic_renames_at_once_outside_write_together(tmp_path):

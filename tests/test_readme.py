@@ -1,12 +1,13 @@
-"""The README's library example runs as written and its Knobs table gives
-the parser's defaults, so neither can drift from the package."""
+"""The README's Quick start and library example run as written and its Knobs
+table gives the parser's defaults, so none of them can drift from the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from liquidrank.cli import build_parser
+from liquidrank.cli import build_parser, main
 from liquidrank.graph import TimeWindow
 from liquidrank.rank import RankParams
 
@@ -28,6 +29,20 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert namespace["post_count"] == 2
     assert sorted(namespace["ranking"].nodes) == ["alice", "bob"]
     assert namespace["report"].relevant_total == 1
+
+
+def test_quick_start_runs(tmp_path, monkeypatch):
+    quick = README.read_text(encoding="utf-8").split("\n## Quick start (CLI)\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", quick, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line and not line.startswith("#")]
+    assert [line.split()[:2] for line in lines] == [["liquidrank", c] for c in ("ingest", "rank", "evaluate", "report")]
+    monkeypatch.chdir(tmp_path)
+    three = TWEETS + '{"author": "carol", "text": "@alice and @bob", "timestamp": 300}\n'
+    (tmp_path / "tweets.jsonl").write_text(three, encoding="utf-8")
+    (tmp_path / "judgments.csv").write_text("node,grade\nalice,2\nbob,1\ncarol,0\n", encoding="utf-8")
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert (tmp_path / "out" / "chart_liquid.svg").exists()
 
 
 # The Knobs table's defaults that are words, as the values argparse holds.

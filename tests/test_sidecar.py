@@ -82,18 +82,19 @@ WORDS = ["@a", "@B", "@c_1", "@zz9", "x@y", "hi", "@" + "q" * 20]
 def test_sidecar_equals_the_csv_on_generated_posts(posts):
     # Posts without mentions, or with self-mentions only, give zero interactions.
     text = "".join(json.dumps({"author": a, "text": " ".join(words), "timestamp": ts}) + "\n" for a, words, ts in posts)
-    columns, _, _ = read_post_columns(text, "jsonl")
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "posts.jsonl").write_text(text, encoding="utf-8")
+        columns, _, _ = read_post_columns(Path(tmp) / "posts.jsonl", "jsonl")
         path = Path(tmp) / "interactions.csv"
         write_interaction_columns(columns, path)
         assert_same_columns(sidecar_columns(path), read_interaction_columns(path))
 
 
-def test_post_columns_are_arrays_of_the_sidecar_widths():
+def test_post_columns_are_arrays_of_the_sidecar_widths(text_file):
     # The sidecar is written from copies of these columns, so "i" must be
     # int32 and "q" int64 on every host that runs ingest.
     assert (array("i").itemsize, array("q").itemsize) == (4, 8)
-    columns, _, _ = read_post_columns("".join(json.dumps(post) + "\n" for post in POSTS), "jsonl")
+    columns, _, _ = read_post_columns(text_file("".join(json.dumps(post) + "\n" for post in POSTS)), "jsonl")
     assert [column.typecode for column in columns[1:]] == ["i", "i", "q"]
 
 
