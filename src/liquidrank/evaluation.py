@@ -14,7 +14,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .errors import DomainError, FormatError
-from .ingest import read_csv_rows, write_json
+from .ingest import read_csv_chunks, read_csv_rows, write_json
 from .rank import RankedList
 
 VALID_GRADES = (0, 1, 2)
@@ -39,7 +39,7 @@ class JudgmentSet:
         return grade == RELEVANT_GRADE
 
     def relevant_total(self) -> int:
-        return sum(1 for g in self.grades.values() if g == RELEVANT_GRADE)
+        return list(self.grades.values()).count(RELEVANT_GRADE)
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,19 @@ def reciprocal_rank(ranked: RankedList, judgments: JudgmentSet) -> float:
 
 
 def read_judgments_csv(source: str | Path) -> JudgmentSet:
-    """Load a ``node,grade`` CSV. Duplicate node rows are an error."""
-    grades: dict[str, int] = {}
+    """Load a ``node,grade`` CSV. Duplicate node rows are an error. A first
+    pass converts the columns of each chunk from read_csv_chunks whole; if it
+    fails, read_csv_rows reads the source again, to name its first faulty line."""
+    grades, count = {}, 0
+    try:
+        for nodes, raw_grades in read_csv_chunks(source, JUDGMENT_CSV_HEADER):
+            grades.update(zip(nodes, map(int, raw_grades)))
+            count += len(nodes)
+        if len(grades) == count:  # no node repeats
+            return JudgmentSet(grades=grades)  # ValueError for a grade outside 0-2
+    except ValueError:
+        pass
+    grades = {}
     with read_csv_rows(source, JUDGMENT_CSV_HEADER) as rows:
         for line_no, (node, raw_grade) in rows or ():
             if node in grades:

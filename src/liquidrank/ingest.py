@@ -42,9 +42,8 @@ INTERACTION_CSV_HEADER = ["rater", "ratee", "timestamp"]
 
 MAX_TIMESTAMP = 2**63 - 1  # timestamps are epoch seconds in [0, 2**63 - 1]: rank holds int64 columns
 
-# Characters of whole lines read_interaction_columns splits in one step: a
-# larger chunk raised rank's peak RSS without making it faster, and one near
-# the csv module's field size limit would send every file to the second pass.
+# Characters read_csv_chunks reads at once: a larger chunk raised rank's peak RSS without making it
+# faster, and one near the csv module's field size limit would send every file to the second pass.
 _CHUNK_CHARS = 1 << 15
 
 SIDECAR_TAG = "liquidrank-cols-1"  # the first field of an interaction CSV's column sidecar
@@ -128,10 +127,7 @@ def _text_lines(source: str | Path) -> Iterator[IO[str]]:
 
 @contextmanager
 def read_csv_rows(
-    source: str | Path,
-    header: list[str],
-    *,
-    malformed: list[MalformedLine] | None = None,
+    source: str | Path, header: list[str], *, malformed: list[MalformedLine] | None = None
 ) -> Iterator[Iterator[tuple[int, list[str]]] | None]:
     """The rows after ``header`` as (line number, fields), or None for empty
     input, read as they are needed inside the ``with`` block.
@@ -157,9 +153,7 @@ def _read_header(reader, header: list[str]) -> bool:
     return first is not None
 
 
-def _numbered_rows(
-    reader, width: int | None, malformed: list[MalformedLine] | None
-) -> Iterator[tuple[int, list[str]]]:
+def _numbered_rows(reader, width: int | None, malformed: list[MalformedLine] | None) -> Iterator[tuple[int, list[str]]]:
     while True:
         try:
             for row in reader:
@@ -171,6 +165,29 @@ def _numbered_rows(
             if malformed is None:
                 raise FormatError(reader.line_num, str(exc)) from None
             malformed.append(MalformedLine(reader.line_num, str(exc)))
+
+
+def read_csv_chunks(source: str | Path, header: list[str]) -> Iterator[list[list[str]]]:
+    """The first pass of the CSV readers: the rows after ``header`` as a list of fields per
+    column, chunk by chunk, each _CHUNK_CHARS characters and the rest of their last line, split
+    in one step; each line's last field keeps its "\n". Raises ValueError at a chunk the csv
+    module must read (it holds '"' or "\r", or reaches the field size limit) or that has a line
+    of another field count; the reader then reads its rows through read_csv_rows."""
+    width = len(header)
+    with _text_lines(source) as fh:
+        if _read_header(csv.reader(fh), header):
+            while text := fh.read(_CHUNK_CHARS):
+                text += fh.readline()
+                if '"' in text or "\r" in text or len(text) >= csv.field_size_limit():
+                    raise ValueError("a line needs the csv module")
+                text += "" if text.endswith("\n") else "\n"
+                # With a "," after each "\n", every "\n" ends a field: each of the n lines holds
+                # ``width`` fields if there are ``width`` * n and every "\n" is in the last column.
+                fields = text.replace("\n", "\n,").split(",")[:-1]
+                columns = [fields[i::width] for i in range(width)]
+                if len(fields) != width * (n := text.count("\n")) or "".join(columns[-1]).count("\n") != n:
+                    raise ValueError("a line has another field count")
+                yield columns
 
 
 # Inside write_together: each path written and its temporary file.
@@ -239,10 +256,14 @@ def read_json_object(path: Path) -> dict:
     """The JSON object held by the file at ``path``; FormatError if it holds
     anything else."""
     with _text_lines(path) as fh:
-        try:  # line numbers count "\r\n" and a lone "\r" as one ending, as elsewhere
-            obj = json.loads(fh.read().replace("\r\n", "\n").replace("\r", "\n"))
+        text = fh.read().replace("\r\n", "\n").replace("\r", "\n")  # "\r\n" and "\r" end one line, as elsewhere
+        try:  # parse_constant raises KeyError on the NaN, Infinity and -Infinity that JSON lacks
+            obj = json.loads(text, parse_constant={}.__getitem__)
         except json.JSONDecodeError as exc:
             raise FormatError(exc.lineno, f"invalid JSON ({exc.msg})") from exc
+        except KeyError as exc:  # the first constant outside a string is the one json met
+            at = next(m.start(1) for m in re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text) if m[1])
+            raise FormatError(text.count("\n", 0, at) + 1, f"invalid JSON ({exc.args[0]} is not JSON)") from None
         except RecursionError:  # json, on a value nested past the recursion limit
             raise FormatError(1, "invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
@@ -426,23 +447,27 @@ class InteractionColumns(NamedTuple):
 
 def read_interaction_columns(source: str | Path) -> InteractionColumns:
     """Load a canonical interaction CSV into columns. Always strict: this is
-    our own format. A first pass splits chunks of whole lines in one step
-    each. If any chunk needs the csv module, or the columns of the whole pass
-    fail _valid_columns, that pass is dropped and the source is read again
-    row by row, to name its first faulty line."""
+    our own format. A first pass converts the columns of each chunk from
+    read_csv_chunks whole; if it fails, or its columns fail _valid_columns,
+    read_csv_rows reads the source again, to name its first faulty line."""
     import numpy as np
 
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new handle gets the next id
     parts = [np.zeros((3, 0), dtype=np.int64)]
-    with _text_lines(source) as fh:
-        _read_header(csv.reader(fh), INTERACTION_CSV_HEADER)
-        while (lines := fh.readlines(_CHUNK_CHARS)) and (part := _split_lines(lines, ids)) is not None:
-            parts.append(part)
-    if not lines and _valid_columns(columns := InteractionColumns(list(ids), *np.concatenate(parts, axis=1))):
-        return columns
+    try:
+        for raters, ratees, stamps in read_csv_chunks(source, INTERACTION_CSV_HEADER):
+            n = len(stamps)
+            pairs = raters + ratees  # rater, ratee, rater, ...: ids in order of first sight
+            pairs[::2], pairs[1::2] = raters, ratees
+            part = np.fromiter(map(ids.__getitem__, pairs), np.int64, 2 * n).reshape(n, 2).T
+            parts.append(np.vstack([part, np.array(stamps, dtype=np.int64)]))  # each stamp read by int()
+        if _valid_columns(columns := InteractionColumns(list(ids), *np.concatenate(parts, axis=1))):
+            return columns
+    except (ValueError, OverflowError):  # a stamp int() cannot read, or one past int64
+        pass
     with read_csv_rows(source, INTERACTION_CSV_HEADER) as rows:  # to name the first faulty line
-        return _read_rows(rows)
+        return _read_rows(rows or ())
 
 
 def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | None:
@@ -477,29 +502,6 @@ def _valid_columns(columns: InteractionColumns) -> bool:
         and all(0 <= ids.min(initial=0) and ids.max(initial=-1) < len(handles) for ids in (raters, ratees))
         and not (raters == ratees).any() and stamps.min(initial=0) >= 0
     )
-
-
-def _split_lines(lines: list[str], ids: dict[str, int]):
-    """The rows of ``lines`` as a 3 x N int64 array (rater id, ratee id, timestamp), handles interned
-    in ``ids``; None if a line needs the csv module or is not two fields and an int64 timestamp."""
-    import numpy as np
-
-    text = "".join(lines)
-    if '"' in text or "\r" in text or len(text) >= csv.field_size_limit():
-        return None
-    # With a "," after each "\n", every "\n" ends a field: the lines are
-    # rater,ratee,timestamp if there are 3 fields a line and no handle holds a "\n".
-    fields = (text if text.endswith("\n") else text + "\n").replace("\n", "\n,").split(",")[:-1]
-    n = len(lines)
-    if len(fields) != 3 * n:
-        return None
-    try:  # int() takes the "\n" as whitespace, like any other around the digits
-        stamps = np.fromiter(map(int, fields[2::3]), np.int64, n)
-    except (ValueError, OverflowError):
-        return None
-    del fields[2::3]
-    pairs = np.fromiter(map(ids.__getitem__, fields), np.int64, 2 * n).reshape(n, 2).T
-    return np.vstack([pairs, stamps])
 
 
 def _read_rows(rows: Iterator[tuple[int, list[str]]]) -> InteractionColumns:

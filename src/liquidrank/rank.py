@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, FormatError
 from .graph import RatingGraph, TimeWindow
-from .ingest import read_csv_rows, write_atomic
+from .ingest import read_csv_chunks, read_csv_rows, write_atomic
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,10 +249,22 @@ def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
 
 
 def read_ranking_csv(source: str | Path) -> RankedList:
-    nodes: list[str] = []
-    scores: list[float] = []
-    seen: set[str] = set()
-    method = ""
+    """Load a ranking CSV. A first pass converts the columns of each chunk
+    from read_csv_chunks whole and checks them; if it fails, read_csv_rows
+    reads the source again, to name its first faulty line."""
+    nodes, scores, methods = [], [], set()
+    try:
+        for ranks, chunk_nodes, chunk_scores, chunk_methods in read_csv_chunks(source, RANKING_CSV_HEADER):
+            if list(map(int, ranks)) != list(range(len(nodes) + 1, len(nodes) + len(ranks) + 1)):
+                raise ValueError("ranks must be consecutive from 1")
+            nodes += chunk_nodes
+            scores += map(float, chunk_scores)
+            methods.update(chunk_methods)
+        if len(methods) == 1 and len(set(nodes)) == len(nodes) and all(map(math.isfinite, scores)):
+            return RankedList(methods.pop()[:-1], nodes, scores)  # each method keeps its line's "\n"
+    except ValueError:
+        pass
+    nodes, scores, seen, method = [], [], set(), ""
     with read_csv_rows(source, RANKING_CSV_HEADER) as rows:
         if rows is None:
             raise FormatError(1, "missing ranking CSV header")

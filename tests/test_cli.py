@@ -191,6 +191,28 @@ def test_rank_window_start_takes_a_number(workspace):
     assert json.loads((workspace / "1.5" / "reputation.json").read_text())["window"] == {"start": 1.5, "end": None}
 
 
+def test_rank_negative_window_start_in_the_equals_form(workspace):
+    # Every row is stamped at or after 0, so a start of -1e3 keeps what the default start of 0 keeps.
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    rankings, names = {}, [f"ranking_{m}.csv" for m in ("mentions", "liquid", "product")]
+    for out_dir, argv in (("default", []), ("negative", ["--window-start=-1e3"])):
+        assert main(["rank", "--input", "out/interactions.csv", "--out-dir", out_dir, *argv]) == 0
+        rankings[out_dir] = [(workspace / out_dir / name).read_bytes() for name in names]
+    assert rankings["negative"] == rankings["default"]
+    assert json.loads((workspace / "negative" / "reputation.json").read_text())["window"]["start"] == -1000.0
+
+
+def test_rank_negative_window_start_after_a_space_is_a_usage_error(workspace, capsys):
+    # argparse reads "-1e3" after a space as an option, not as the flag's value.
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rank", "--window-start", "-1e3", "--out-dir", "fresh"])
+    assert exit_info.value.code == 2
+    assert "argument --window-start: expected one argument" in capsys.readouterr().err
+    assert not (workspace / "fresh").exists()
+
+
 @pytest.mark.parametrize("start", ["-inf", "nan", "inf"])
 def test_rank_window_start_that_is_not_finite_exits_2(workspace, capsys, start):
     (workspace / "edges.csv").write_text("rater,ratee,timestamp\na,b,1\n", encoding="utf-8")
@@ -626,6 +648,19 @@ def test_corrupt_manifest_exits_2_naming_it(workspace, capsys, content):
     (workspace / "out" / "manifest.json").write_text(content)
     assert main(["rank"]) == 2
     assert capsys.readouterr().err.startswith("error: out/manifest.json:1: ")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_manifest_constant_json_lacks_exits_2_naming_its_line(workspace, capsys, constant):
+    # Python's json reads these three beyond JSON; write_json would refuse them.
+    out, before = _ranked_out_dir(workspace)
+    (out / "manifest.json").write_text(f'{{"stages": {{}},\n "note": "NaN",\n "extra": {constant}}}\n')
+    before["manifest.json"] = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert main(["rank"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: out/manifest.json:3: invalid JSON ({constant} is not JSON)\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def tree(root: Path) -> dict[str, bytes | None]:
