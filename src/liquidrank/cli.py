@@ -71,7 +71,7 @@ def _load_manifest(out_dir: Path) -> dict:
     path = out_dir / MANIFEST_NAME
     manifest = ingest_mod.read_json_object(path) if path.exists() else {}
     manifest["schema_version"] = MANIFEST_SCHEMA_VERSION
-    for section in ("stages", "outputs", "timings_ms"):
+    for section in ("stages", "outputs", "timings_ms", "peak_rss_mb"):
         if not isinstance(manifest.setdefault(section, {}), dict):
             raise FormatError(1, f"{section!r} must be a JSON object", str(path))
     return manifest
@@ -81,11 +81,11 @@ def _run_stage(args: argparse.Namespace) -> int:
     """Run ``args.run(args, manifest)`` as the stage ``args.command``: load
     the out dir's manifest, let the command write its artifacts and fill its
     stage in, then list each artifact under ``outputs`` by its file name,
-    record the command's wall time and write the manifest. The stage's files
-    replace the old ones together when it ends, the manifest last; a failed
-    stage replaces none and prints nothing. Once they are in place it prints
-    ``wrote <path>`` per artifact, in write order, then the text the command
-    returned, if any."""
+    record the command's wall time and the process's peak RSS (ru_maxrss is
+    in KiB on Linux), and write the manifest. The stage's files replace the
+    old ones together when it ends, the manifest last; a failed stage
+    replaces none and prints nothing. Once they are in place it prints
+    ``wrote <path>`` per artifact, in write order, then any text it returned."""
     start = time.perf_counter()
     manifest = _load_manifest(Path(args.out_dir))
     with ingest_mod.write_together() as held:
@@ -94,6 +94,8 @@ def _run_stage(args: argparse.Namespace) -> int:
         for path in artifacts:
             manifest["outputs"][path.name] = str(path)
         manifest["timings_ms"][args.command] = round((time.perf_counter() - start) * 1000, 3)
+        import resource  # loaded once the stage has run, so that its pages cannot raise the peak it reads
+        manifest["peak_rss_mb"][args.command] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         ingest_mod.write_json(Path(args.out_dir) / MANIFEST_NAME, manifest)
     for path in artifacts:
         print(f"wrote {path}")
@@ -133,18 +135,17 @@ def cmd_rank(args: argparse.Namespace, manifest: dict) -> None:
     input_path = Path(args.input) if args.input else out_dir / "interactions.csv"
     digest = ingest_mod.sha256_digest(input_path)
     columns = ingest_mod.read_interaction_sidecar(input_path, digest)
-    if columns is None:
-        columns = ingest_mod.read_interaction_columns(input_path)
+    source = "csv" if columns is None else "sidecar"
+    columns = columns or ingest_mod.read_interaction_columns(input_path)
 
+    record_count = len(columns.raters)
     graph = build_graph(columns, window)
+    del columns  # the graph holds all rank needs: one copy of the data from here on
     mentions = mention_rank(graph)
     state = liquid_rank(graph, params)
     if not state.converged:
-        print(
-            f"warning: reputation loop did not converge after {state.iterations} "
-            f"iterations (last change {format_score(state.final_delta)})",
-            file=sys.stderr,
-        )
+        print(f"warning: reputation loop did not converge after {state.iterations} iterations "
+              f"(last change {format_score(state.final_delta)})", file=sys.stderr)
     liquid = to_ranked_list(state)
     for ranked in (mentions, liquid, product_rank(mentions, liquid)):
         write_ranking_csv(ranked, out_dir / f"ranking_{ranked.method}.csv")
@@ -153,7 +154,9 @@ def cmd_rank(args: argparse.Namespace, manifest: dict) -> None:
     manifest["stages"]["rank"] = {
         "config": _echo(args),
         "input_digest": digest,
-        "record_count": len(columns.raters),
+        "columns": source,
+        "record_count": record_count,
+        "window_record_count": graph.total_weight(),
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
     }

@@ -44,8 +44,9 @@ class RatingGraph:
     ``nodes`` is lexicographically sorted; that ordering anchors every
     deterministic downstream artifact. Edge k runs from node ``raters[k]``
     to node ``ratees[k]`` (positions in ``nodes``) with weight
-    ``weights[k]``; the three int64 arrays are ordered by (rater id, ratee
-    id), which is also (rater, ratee) order. Absent edge means weight 0;
+    ``weights[k]``. The three arrays are int64 whatever the width of the
+    ids they were built from, and ordered by (rater id, ratee id), which is
+    also (rater, ratee) order. Absent edge means weight 0;
     stored edges always have weight >= 1 and never form self-loops. Graphs
     compare by identity; equal graphs have equal ``nodes`` and ``sorted_edges()``.
     """
@@ -78,7 +79,8 @@ class RatingGraph:
 def _rating_graph(handles: list[str], raters, ratees, weights) -> RatingGraph:
     """Relabel edges over ``handles`` to the sorted table of the handles they
     use and order them by (rater id, ratee id). With weights=None, repeated
-    (rater, ratee) pairs are counted; otherwise every pair is distinct."""
+    (rater, ratee) pairs are counted, as the lengths of the runs of equal
+    sorted keys; otherwise every pair is distinct."""
     import numpy as np
 
     used = np.zeros(len(handles), dtype=bool)
@@ -87,18 +89,22 @@ def _rating_graph(handles: list[str], raters, ratees, weights) -> RatingGraph:
     n = len(order)
     relabel = np.zeros(len(handles), dtype=np.int64)
     relabel[order] = np.arange(n)
-    keys = relabel[raters] * n + relabel[ratees]
+    keys = (relabel * n)[raters]  # a new array, so that the ratees are added in place
+    keys += relabel[ratees]
     if weights is None:
-        keys, weights = np.unique(keys, return_counts=True)
+        keys.sort()
+        starts = np.ones(len(keys) + 1, dtype=bool)  # True where a run starts, and past the last key
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+        keys, weights = keys[starts[:-1]], np.diff(np.flatnonzero(starts))
     else:
         by_key = np.argsort(keys)
         keys, weights = keys[by_key], weights[by_key]
-    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1)), weights.astype(np.int64))
+    # divmod writes the raters over the keys: one new array, not two.
+    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1), out=(keys, None)), weights)
 
 
 def build_graph(
-    records: Iterable[InteractionRecord] | InteractionColumns,
-    window: TimeWindow = TimeWindow(),
+    records: Iterable[InteractionRecord] | InteractionColumns, window: TimeWindow = TimeWindow()
 ) -> RatingGraph:
     """Count mentions per (rater, ratee) pair among records inside the window.
 
@@ -112,11 +118,13 @@ def build_graph(
         ids: dict[str, int] = {}
         rows = [(ids.setdefault(r.rater, len(ids)), ids.setdefault(r.ratee, len(ids)), r.timestamp) for r in records]
         records = InteractionColumns(list(ids), *(zip(*rows) if rows else ([], [], [])))
-    handles, raters, ratees, stamps = records
-    stamps = np.asarray(stamps, dtype=np.int64)
+    # Views, not copies, of the readers' int32 ids and int64 timestamps.
+    raters, ratees = (np.asarray(ids, dtype=np.int32) for ids in (records.raters, records.ratees))
+    stamps = np.asarray(records.timestamps, dtype=np.int64)
     kept = (stamps > _last_before(window.start)) & (stamps <= _last_before(window.end))
-    raters, ratees = np.asarray(raters, dtype=np.int64)[kept], np.asarray(ratees, dtype=np.int64)[kept]
-    return _rating_graph(handles, raters, ratees, None)
+    if not kept.all():
+        raters, ratees = raters[kept], ratees[kept]
+    return _rating_graph(records.handles, raters, ratees, None)
 
 
 def _last_before(bound: float) -> int:

@@ -340,12 +340,7 @@ def _csv_fields(row: list[str]) -> tuple[str, str, int]:
         raise ValueError(f"timestamp {raw_ts!r} is not an integer") from None
 
 
-def parse_tweets(
-    source: str | Path,
-    fmt: str = "jsonl",
-    *,
-    strict: bool = True,
-) -> ParseResult:
+def parse_tweets(source: str | Path, fmt: str = "jsonl", *, strict: bool = True) -> ParseResult:
     """Parse a tweet dataset in ``jsonl`` or ``csv`` format.
 
     jsonl: one object per line with "author", "text", "timestamp" fields;
@@ -369,7 +364,7 @@ def read_post_columns(
     per-post objects. Returns the columns, the count of valid posts and the
     malformed lines skipped. Handles are in order of first sight, as
     read_interaction_columns lists them; the ids are an int32 array("i"), the
-    timestamps an int64 array("q")."""
+    timestamps an int64 array("q"), the types every interaction reader returns."""
     columns = InteractionColumns([], array("i"), array("i"), array("q"))
     handles, raters, ratees, stamps = columns
     ids: dict[str, int] = {}
@@ -435,9 +430,9 @@ def _write_interaction_rows(rows: Iterable[tuple[str, str, int]], path: str | Pa
 class InteractionColumns(NamedTuple):
     """Interaction rows as parallel columns: ``raters[k]`` and ``ratees[k]``
     index ``handles``, which lists each handle once in order of first sight,
-    and ``timestamps[k]`` is row k's time. read_post_columns fills stdlib
-    arrays (int32 ids, int64 timestamps), read_interaction_columns and
-    read_interaction_sidecar int64 numpy arrays."""
+    and ``timestamps[k]`` is row k's time. Every reader gives int32 ids and
+    int64 timestamps: read_post_columns as stdlib arrays, read_interaction_columns
+    as numpy arrays, read_interaction_sidecar as read-only numpy views of the file's bytes."""
 
     handles: list[str]
     raters: Sequence[int]
@@ -454,15 +449,16 @@ def read_interaction_columns(source: str | Path) -> InteractionColumns:
 
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new handle gets the next id
-    parts = [np.zeros((3, 0), dtype=np.int64)]
+    id_parts, stamp_parts = [np.zeros((2, 0), dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     try:
         for raters, ratees, stamps in read_csv_chunks(source, INTERACTION_CSV_HEADER):
             n = len(stamps)
             pairs = raters + ratees  # rater, ratee, rater, ...: ids in order of first sight
             pairs[::2], pairs[1::2] = raters, ratees
-            part = np.fromiter(map(ids.__getitem__, pairs), np.int64, 2 * n).reshape(n, 2).T
-            parts.append(np.vstack([part, np.array(stamps, dtype=np.int64)]))  # each stamp read by int()
-        if _valid_columns(columns := InteractionColumns(list(ids), *np.concatenate(parts, axis=1))):
+            id_parts.append(np.fromiter(map(ids.__getitem__, pairs), np.int32, 2 * n).reshape(n, 2).T)
+            stamp_parts.append(np.array(stamps, dtype=np.int64))  # each stamp read by int()
+        columns = InteractionColumns(list(ids), *np.concatenate(id_parts, axis=1), np.concatenate(stamp_parts))
+        if _valid_columns(columns):
             return columns
     except (ValueError, OverflowError):  # a stamp int() cannot read, or one past int64
         pass
@@ -473,7 +469,8 @@ def read_interaction_columns(source: str | Path) -> InteractionColumns:
 def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | None:
     """read_interaction_columns(path), loaded from the sidecar of the CSV at
     ``path``, whose sha256 is ``digest``; None if it is missing or not that
-    CSV's: a tag, digest or count differs, or the columns fail _valid_columns."""
+    CSV's: a tag, digest or count differs, or the columns fail _valid_columns.
+    The id and timestamp columns are read-only views of the file's bytes, not copies."""
     import numpy as np
 
     try:
@@ -483,8 +480,8 @@ def read_interaction_sidecar(path: Path, digest: str) -> InteractionColumns | No
         count, rows = int(count), int(rows)
         end = len(data) - 16 * rows  # the handle table is data[start:end]
         *handles, last = data[start:end].decode().split("\n")  # each handle ends in "\n": last is ""
-        ids = np.frombuffer(data, "<i4", 2 * rows, end).astype(np.int64)
-        stamps = np.frombuffer(data, "<i8", rows, end + 8 * rows).astype(np.int64)
+        ids = np.frombuffer(data, "<i4", 2 * rows, end)
+        stamps = np.frombuffer(data, "<i8", rows, end + 8 * rows)
     except (OSError, ValueError, OverflowError):
         return None
     columns = InteractionColumns(handles, ids[:rows], ids[rows:], stamps)
@@ -525,7 +522,7 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]]) -> InteractionColumns:
         if not 0 <= ts <= MAX_TIMESTAMP:
             raise FormatError(line_no, _range_fault(ts))
         columns[2].append(ts)
-    return InteractionColumns(list(ids), *np.array(columns, dtype=np.int64).reshape(3, -1))
+    return InteractionColumns(list(ids), *np.array(columns[:2], np.int32).reshape(2, -1), np.array(columns[2], np.int64))
 
 
 def read_interactions_csv(source: str | Path) -> list[InteractionRecord]:

@@ -63,6 +63,7 @@ RANKING_CSV_HEADER = ["rank", "node", "score", "method"]
 
 # A ranking CSV row as joined text, its score as format_score writes it.
 _RANKING_ROW = "{},{},{:.12g},{}\n".format
+_CHUNK_ROWS = 4096  # ranking rows, or reputation scores, that a writer turns into text at once
 
 
 @dataclass(frozen=True)
@@ -238,14 +239,18 @@ def format_score(score: float) -> str:
 
 
 def write_ranking_csv(ranked: RankedList, path: str | Path) -> None:
-    """One row per entry, as joined text unless a node or the method needs csv quoting."""
-    rows = zip(range(1, len(ranked.nodes) + 1), ranked.nodes, ranked.scores, repeat(ranked.method))
+    """One row per entry, _CHUNK_ROWS rows at a time, each chunk as joined
+    text unless one of its nodes or the method needs csv quoting."""
     with write_atomic(path) as fh:
         fh.write(",".join(RANKING_CSV_HEADER) + "\n")
-        if re.search(r'[,"\r\n]', "".join([ranked.method, *ranked.nodes])):  # csv.writer would quote
-            csv.writer(fh, lineterminator="\n").writerows((r, n, format_score(s), m) for r, n, s, m in rows)
-        else:
-            fh.write("".join(starmap(_RANKING_ROW, rows)))
+        for start in range(0, len(ranked.nodes), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            nodes = ranked.nodes[start:stop]
+            rows = zip(range(start + 1, stop + 1), nodes, ranked.scores[start:stop], repeat(ranked.method))
+            if re.search(r'[,"\r\n]', "".join([ranked.method, *nodes])):  # csv.writer would quote
+                csv.writer(fh, lineterminator="\n").writerows((r, n, format_score(s), m) for r, n, s, m in rows)
+            else:
+                fh.write("".join(starmap(_RANKING_ROW, rows)))
 
 
 def read_ranking_csv(source: str | Path) -> RankedList:
@@ -290,7 +295,8 @@ def read_ranking_csv(source: str | Path) -> RankedList:
     return RankedList(method, nodes, scores)
 
 
-def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams) -> dict:
+def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams, scores: bool = True) -> dict:
+    """reputation.json's content; with scores=False, None in place of the score map."""
     # Compared, not math.isinf: an integer end past float range is finite.
     end = None if window.end == math.inf else window.end
     return {
@@ -299,20 +305,21 @@ def reputation_snapshot(state: ReputationState, window: TimeWindow, params: Rank
         "iterations": state.iterations,
         "final_delta": state.final_delta,
         "converged": state.converged,
-        "scores": dict(state.scores),
+        "scores": dict(state.scores) if scores else None,
     }
 
 
-def write_reputation_json(
-    state: ReputationState, window: TimeWindow, params: RankParams, path: str | Path
-) -> None:
-    """The bytes write_json gives the snapshot. With indent, json encodes in
-    Python; the flat score map, already in key order, goes through its C
-    encoder instead, with the newline and indent carried by the separator."""
-    snapshot = reputation_snapshot(state, window, params)
-    scores = json.dumps(snapshot.pop("scores"), separators=(",\n    ", ": "), allow_nan=False)
-    if scores != "{}":
-        scores = "{\n    " + scores[1:-1] + "\n  }"
-    text = json.dumps({**snapshot, "scores": None}, indent=2, sort_keys=True, allow_nan=False)
+def write_reputation_json(state: ReputationState, window: TimeWindow, params: RankParams, path: str | Path) -> None:
+    """The bytes write_json gives reputation_snapshot, its score map never built whole: the scores,
+    in node order and so in key order, go through json's C encoder _CHUNK_ROWS at a time, with
+    the newline and indent carried by the separator. NaN or ±inf raises ValueError, leaving no file."""
+    snapshot = reputation_snapshot(state, window, params, scores=False)
+    head, tail = json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False).split('"scores": null')
+    nodes, values = state.nodes, state.values
     with write_atomic(path) as fh:
-        fh.write(text.replace('"scores": null', '"scores": ' + scores, 1) + "\n")
+        fh.write(head + '"scores": {')
+        for start in range(0, len(nodes), _CHUNK_ROWS):
+            chunk = dict(zip(nodes[start : start + _CHUNK_ROWS], values[start : start + _CHUNK_ROWS].tolist()))
+            fh.write(",\n    " if start else "\n    ")
+            fh.write(json.dumps(chunk, separators=(",\n    ", ": "), allow_nan=False)[1:-1])
+        fh.write(("\n  }" if nodes else "}") + tail + "\n")

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import random
+import resource
 import sys
 import tracemalloc
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from xml.etree import ElementTree
@@ -668,7 +671,7 @@ def tree(root: Path) -> dict[str, bytes | None]:
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("section", ["stages", "outputs", "timings_ms"])
+@pytest.mark.parametrize("section", ["stages", "outputs", "timings_ms", "peak_rss_mb"])
 def test_manifest_section_that_is_not_an_object_exits_2(workspace, capsys, section):
     (workspace / "out").mkdir()
     (workspace / "out" / "manifest.json").write_text(json.dumps({section: []}))
@@ -848,6 +851,48 @@ def test_ingest_memory_is_flat_in_the_input_size(workspace):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_rank_holds_one_copy_of_its_columns(workspace):
+    # 2x10^5 rows over 200 handles: the graph, at most 39,800 edges, is small
+    # beside the columns, so the peak is what rank holds of them. The
+    # sidecar's bytes are the columns; int64 copies of them beside those
+    # bytes, as rank once made, would pass three times the sidecar's size.
+    rng = random.Random(7)
+    raters = array("i", (rng.randrange(200) for _ in range(200_000)))
+    ratees = array("i", ((rater + rng.randrange(1, 200)) % 200 for rater in raters))
+    handles = [f"h{i:03d}" for i in range(200)]
+    ingest.write_interaction_columns(ingest.InteractionColumns(handles, raters, ratees, array("q", range(200_000))),
+                                     "interactions.csv")
+    assert main(["rank", "--input", "interactions.csv"]) == 0  # imports and first-call set-up, not traced
+    tracemalloc.start()
+    try:
+        assert main(["rank", "--input", "interactions.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (workspace / "interactions.csv.cols").stat().st_size, peak
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
+def test_manifest_records_each_stage_peak_rss_and_the_rank_inputs(workspace, sidecar):
+    assert main(["ingest", "--input", "tweets.jsonl"]) == 0
+    if not sidecar:
+        (workspace / "out" / "interactions.csv.cols").unlink()
+    assert main(["rank", "--window-start", "150", "--window-end", "350"]) == 0
+    assert main(["evaluate", "out/ranking_liquid.csv", "--judgments", "judgments.csv"]) == 0
+    assert main(["report", "out/ranking_liquid.csv"]) == 0
+    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+    # Each figure is this process's peak when its stage ended, in MB to 0.1.
+    peaks = [manifest["peak_rss_mb"][stage] for stage in ("ingest", "rank", "evaluate", "report")]
+    now = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2] <= peaks[3] <= now
+    assert all(peak == round(peak, 1) for peak in peaks)
+    stage = manifest["stages"]["rank"]
+    # Of the six rows, those at 200, 200 and 300 fall in [150, 350).
+    assert (stage["columns"], stage["record_count"], stage["window_record_count"]) == (
+        "sidecar" if sidecar else "csv", 6, 3
+    )
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])

@@ -8,7 +8,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+from itertools import repeat, starmap
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liquidrank import ingest
+from liquidrank import ingest, rank
 from liquidrank.errors import FormatError
 from liquidrank.graph import TimeWindow
 from liquidrank.ingest import HANDLE_RE, MAX_TIMESTAMP, read_interaction_columns, write_atomic, write_together
@@ -196,6 +198,58 @@ def test_reputation_json_bytes_equal_json_dump(scores, end, delta):
         path = Path(tmp) / "reputation.json"
         write_reputation_json(state, window, params, path)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def one_string_ranking_csv(ranked) -> str:
+    """write_ranking_csv as it was before it wrote in chunks: the whole file
+    as one string, through csv.writer if any node or the method needs quoting."""
+    rows = zip(range(1, len(ranked.nodes) + 1), ranked.nodes, ranked.scores, repeat(ranked.method))
+    fh = io.StringIO(newline="")
+    fh.write(",".join(RANKING_CSV_HEADER) + "\n")
+    if re.search(r'[,"\r\n]', "".join([ranked.method, *ranked.nodes])):
+        csv.writer(fh, lineterminator="\n").writerows((r, n, format_score(s), m) for r, n, s, m in rows)
+    else:
+        fh.write("".join(starmap("{},{},{:.12g},{}\n".format, rows)))
+    return fh.getvalue()
+
+
+# Seven nodes, so that the chunk sizes below are 1, 2, 3, n - 1, n and n + 1.
+SEVEN = {"a": 0.5, "b_2": 1 / 3, "c": 0.5, "d": 1e-300, "e": 2.0, "f": 0.0, "g": 1e16 + 2}
+CHUNKS = [1, 2, 3, 6, 7, 8]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("quoted", ["", "c,x", 'c"x'], ids=["joined", "comma", "quote"])
+def test_ranking_csv_in_chunks_equals_the_one_string_writer(tmp_path, monkeypatch, chunk, quoted):
+    # A node that needs quoting sends its chunk, and only that chunk, to csv.writer.
+    monkeypatch.setattr(rank, "_CHUNK_ROWS", chunk)
+    scores = dict(SEVEN)
+    if quoted:  # in place of "c", tied with "a"
+        scores[quoted] = scores.pop("c")
+    ranked = ranked_list_from_scores("liquid", scores)
+    write_ranking_csv(ranked, tmp_path / "ranking.csv")
+    assert (tmp_path / "ranking.csv").read_text(encoding="utf-8") == one_string_ranking_csv(ranked)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("scores", [SEVEN, {}], ids=["seven", "empty"])
+def test_reputation_json_in_chunks_equals_json_dumps(tmp_path, monkeypatch, chunk, scores):
+    monkeypatch.setattr(rank, "_CHUNK_ROWS", chunk)
+    state = state_from_scores(scores)
+    window, params = TimeWindow(start=3, end=10**30), RankParams(norm_mode="max")
+    write_reputation_json(state, window, params, tmp_path / "reputation.json")
+    expected = json.dumps(reputation_snapshot(state, window, params), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "reputation.json").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_reputation_json_with_nan_in_its_last_chunk_leaves_no_file(tmp_path, monkeypatch, chunk):
+    # "g" sorts last, so every chunk before its own is written when it raises.
+    monkeypatch.setattr(rank, "_CHUNK_ROWS", chunk)
+    state = state_from_scores({**SEVEN, "g": math.nan})
+    with pytest.raises(ValueError):
+        write_reputation_json(state, TimeWindow(), RankParams(), tmp_path / "reputation.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

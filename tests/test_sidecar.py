@@ -46,8 +46,8 @@ def sidecar_columns(path: Path):
 def assert_same_columns(got, want):
     assert got is not None
     assert got.handles == want.handles
-    for column, expected in zip(got[1:], want[1:]):
-        assert column.dtype == expected.dtype == np.int64
+    for column, expected, dtype in zip(got[1:], want[1:], (np.int32, np.int32, np.int64)):
+        assert column.dtype == expected.dtype == dtype
         assert np.array_equal(column, expected)
 
 
