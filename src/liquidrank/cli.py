@@ -22,7 +22,6 @@ from . import ingest as ingest_mod
 from .errors import DomainError, FormatError
 from .graph import TimeWindow, build_graph
 from .evaluation import evaluate, read_judgments_csv, write_report_json
-from .ingest import POST_FORMATS
 from .rank import (
     NORM_MODES,
     RankedList,
@@ -81,11 +80,11 @@ def _run_stage(args: argparse.Namespace) -> int:
     """Run ``args.run(args, manifest)`` as the stage ``args.command``: load
     the out dir's manifest, let the command write its artifacts and fill its
     stage in, then list each artifact under ``outputs`` by its file name,
-    record the command's wall time and the process's peak RSS (ru_maxrss is
-    in KiB on Linux), and write the manifest. The stage's files replace the
-    old ones together when it ends, the manifest last; a failed stage
-    replaces none and prints nothing. Once they are in place it prints
-    ``wrote <path>`` per artifact, in write order, then any text it returned."""
+    record the command's wall time and the process's peak RSS, and write the
+    manifest. The stage's files replace the old ones together when it ends,
+    the manifest last; a failed stage replaces none and prints nothing. Once
+    they are in place it prints ``wrote <path>`` per artifact, in write
+    order, then any text it returned."""
     start = time.perf_counter()
     manifest = _load_manifest(Path(args.out_dir))
     with ingest_mod.write_together() as held:
@@ -94,8 +93,13 @@ def _run_stage(args: argparse.Namespace) -> int:
         for path in artifacts:
             manifest["outputs"][path.name] = str(path)
         manifest["timings_ms"][args.command] = round((time.perf_counter() - start) * 1000, 3)
-        import resource  # loaded once the stage has run, so that its pages cannot raise the peak it reads
-        manifest["peak_rss_mb"][args.command] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        status = Path("/proc/self/status")
+        if status.exists():  # Linux: VmHWM, which exec resets and ru_maxrss does not
+            kib = int(status.read_text().split("VmHWM:")[1].split()[0])
+        else:
+            import resource  # loaded once the stage has run, so that its pages cannot raise the peak it reads
+            kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        manifest["peak_rss_mb"][args.command] = round(kib / 1024, 1)
         ingest_mod.write_json(Path(args.out_dir) / MANIFEST_NAME, manifest)
     for path in artifacts:
         print(f"wrote {path}")
@@ -107,9 +111,7 @@ def _run_stage(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace, manifest: dict) -> str:
     """Parse the raw dataset and write the canonical interaction CSV."""
     input_path = Path(args.input)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if input_path.suffix.lower() == ".csv" else "jsonl"
+    fmt = "csv" if input_path.suffix.lower() == ".csv" else "jsonl"
     columns, posts, malformed = ingest_mod.read_post_columns(input_path, fmt, strict=args.strict)
 
     ingest_mod.write_interaction_columns(columns, Path(args.out_dir) / "interactions.csv")
@@ -306,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = add_stage("ingest", cmd_ingest, "parse a tweet dataset into interactions.csv")
     p_ingest.add_argument("--input", type=file_path, required=True, help="path to the raw dataset")
-    p_ingest.add_argument("--format", choices=POST_FORMATS, help="input format (default: by file suffix)")
     p_ingest.add_argument(
         "--strict", action="store_true", help="fail on the first malformed line instead of skipping it"
     )

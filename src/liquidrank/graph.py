@@ -76,33 +76,6 @@ class RatingGraph:
         ]
 
 
-def _rating_graph(handles: list[str], raters, ratees, weights) -> RatingGraph:
-    """Relabel edges over ``handles`` to the sorted table of the handles they
-    use and order them by (rater id, ratee id). With weights=None, repeated
-    (rater, ratee) pairs are counted, as the lengths of the runs of equal
-    sorted keys; otherwise every pair is distinct."""
-    import numpy as np
-
-    used = np.zeros(len(handles), dtype=bool)
-    used[raters] = used[ratees] = True
-    order = sorted(np.flatnonzero(used).tolist(), key=handles.__getitem__)
-    n = len(order)
-    relabel = np.zeros(len(handles), dtype=np.int64)
-    relabel[order] = np.arange(n)
-    keys = (relabel * n)[raters]  # a new array, so that the ratees are added in place
-    keys += relabel[ratees]
-    if weights is None:
-        keys.sort()
-        starts = np.ones(len(keys) + 1, dtype=bool)  # True where a run starts, and past the last key
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-        keys, weights = keys[starts[:-1]], np.diff(np.flatnonzero(starts))
-    else:
-        by_key = np.argsort(keys)
-        keys, weights = keys[by_key], weights[by_key]
-    # divmod writes the raters over the keys: one new array, not two.
-    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1), out=(keys, None)), weights)
-
-
 def build_graph(
     records: Iterable[InteractionRecord] | InteractionColumns, window: TimeWindow = TimeWindow()
 ) -> RatingGraph:
@@ -124,7 +97,21 @@ def build_graph(
     kept = (stamps > _last_before(window.start)) & (stamps <= _last_before(window.end))
     if not kept.all():
         raters, ratees = raters[kept], ratees[kept]
-    return _rating_graph(records.handles, raters, ratees, None)
+    handles = records.handles
+    used = np.zeros(len(handles), dtype=bool)
+    used[raters] = used[ratees] = True
+    order = sorted(np.flatnonzero(used).tolist(), key=handles.__getitem__)
+    n = len(order)
+    relabel = np.zeros(len(handles), dtype=np.int64)
+    relabel[order] = np.arange(n)
+    keys = (relabel * n)[raters]  # a new array, so that the ratees are added in place
+    keys += relabel[ratees]
+    keys.sort()
+    starts = np.ones(len(keys) + 1, dtype=bool)  # True where a run starts, and past the last key
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    keys, weights = keys[starts[:-1]], np.diff(np.flatnonzero(starts))
+    # divmod writes the raters over the keys: one new array, not two.
+    return RatingGraph(tuple(handles[i] for i in order), *np.divmod(keys, max(n, 1), out=(keys, None)), weights)
 
 
 def _last_before(bound: float) -> int:
@@ -144,13 +131,13 @@ def from_edge_counts(counts: Mapping[tuple[str, str], int]) -> RatingGraph:
     """
     import numpy as np
 
-    ids: dict[str, int] = {}
-    edges = []
     for (rater, ratee), weight in counts.items():
         if rater == ratee:
             raise ValueError(f"self-loop edge {rater!r} is not allowed")
         if weight < 1:
             raise ValueError(f"edge weight must be >= 1, got {weight} for {(rater, ratee)}")
-        edges.append((ids.setdefault(rater, len(ids)), ids.setdefault(ratee, len(ids)), weight))
+    nodes = tuple(sorted({name for pair in counts for name in pair}))
+    index = {name: i for i, name in enumerate(nodes)}
+    edges = sorted((index[rater], index[ratee], weight) for (rater, ratee), weight in counts.items())
     raters, ratees, weights = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return _rating_graph(list(ids), raters, ratees, weights)
+    return RatingGraph(nodes, raters, ratees, weights)

@@ -295,8 +295,8 @@ def read_ranking_csv(source: str | Path) -> RankedList:
     return RankedList(method, nodes, scores)
 
 
-def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams, scores: bool = True) -> dict:
-    """reputation.json's content; with scores=False, None in place of the score map."""
+def reputation_snapshot(state: ReputationState, window: TimeWindow, params: RankParams) -> dict:
+    """The run record of reputation.json: its content but the score map."""
     # Compared, not math.isinf: an integer end past float range is finite.
     end = None if window.end == math.inf else window.end
     return {
@@ -305,15 +305,14 @@ def reputation_snapshot(state: ReputationState, window: TimeWindow, params: Rank
         "iterations": state.iterations,
         "final_delta": state.final_delta,
         "converged": state.converged,
-        "scores": dict(state.scores) if scores else None,
     }
 
 
 def write_reputation_json(state: ReputationState, window: TimeWindow, params: RankParams, path: str | Path) -> None:
-    """The bytes write_json gives reputation_snapshot, its score map never built whole: the scores,
+    """The bytes write_json gives reputation_snapshot plus its score map, never built whole: the scores,
     in node order and so in key order, go through json's C encoder _CHUNK_ROWS at a time, with
     the newline and indent carried by the separator. NaN or ±inf raises ValueError, leaving no file."""
-    snapshot = reputation_snapshot(state, window, params, scores=False)
+    snapshot = {**reputation_snapshot(state, window, params), "scores": None}
     head, tail = json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False).split('"scores": null')
     nodes, values = state.nodes, state.values
     with write_atomic(path) as fh:

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import resource
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -134,10 +135,19 @@ def test_ingest_csv_by_suffix(workspace, name):
     assert rows[1] == "alice,bob,5"
 
 
-def test_ingest_explicit_format_overrides_suffix(workspace):
-    # jsonl content in a .txt file
+def test_ingest_reads_any_other_suffix_as_jsonl(workspace):
     (workspace / "data.txt").write_text('{"author": "a", "text": "@b", "timestamp": 1}\n')
-    assert main(["ingest", "--input", "data.txt", "--format", "jsonl"]) == 0
+    assert main(["ingest", "--input", "data.txt"]) == 0
+    assert (workspace / "out" / "interactions.csv").read_text() == "rater,ratee,timestamp\na,b,1\n"
+
+
+def test_ingest_format_flag_is_a_usage_error(workspace, capsys):
+    # The suffix alone names the post format; --format is report's chart format.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ingest", "--input", "tweets.jsonl", "--format", "jsonl"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format jsonl" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
 
 
 def test_rank_defaults_to_out_dir_interactions(workspace):
@@ -893,6 +903,20 @@ def test_manifest_records_each_stage_peak_rss_and_the_rank_inputs(workspace, sid
     assert (stage["columns"], stage["record_count"], stage["window_record_count"]) == (
         "sidecar" if sidecar else "csv", 6, 3
     )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM and ru_maxrss's carry across exec are Linux's")
+def test_manifest_peak_rss_is_the_commands_own_after_exec(workspace):
+    # A parent that touched 200 MB execs ingest: its peak must not be the ingest's.
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        "import os, sys; held = b'x' * (200 << 20); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'liquidrank.cli', 'ingest', '--input', 'tweets.jsonl'])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, timeout=60)
+    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+    assert 0 < manifest["peak_rss_mb"]["ingest"] < 100
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])

@@ -83,7 +83,7 @@ def flag_lists(*options: st.SearchStrategy) -> st.SearchStrategy:
     return st.lists(st.one_of(*options), max_size=3).map(lambda drawn: [arg for flag in drawn for arg in flag])
 
 
-ingest_flags = flag_lists(st.just(["--strict"]), option("--format", st.sampled_from(["jsonl", "csv"])))
+ingest_flags = flag_lists(st.just(["--strict"]))
 rank_flags = flag_lists(
     option("--window-start", st.integers(-1, 10)),
     option("--window-end", st.one_of(st.integers(0, 10), st.floats(0, 10), st.just(10**400))),

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liquidrank.graph import (
     RatingGraph,
@@ -10,6 +13,8 @@ from liquidrank.graph import (
 )
 from liquidrank.ingest import InteractionColumns, InteractionRecord, read_interaction_columns
 from liquidrank.rank import mention_rank
+
+from test_rank_properties import weight_maps
 
 
 def records(*triples):
@@ -80,14 +85,18 @@ def test_window_start_must_be_finite(start):
     assert TimeWindow(start=1.5).start == 1.5
 
 
-def test_from_edge_counts_matches_build_graph():
-    counts = {("a", "b"): 2, ("b", "a"): 1, ("c", "a"): 4}
-    stream = []
-    for (rater, ratee), w in counts.items():
-        stream.extend(records((rater, ratee, 0)) * w)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(counts=st.one_of(st.just({}), weight_maps()), data=st.data())
+def test_from_edge_counts_matches_build_graph(counts, data):
+    # The pairs in any order, so that neither builder can lean on sorted input.
+    counts = dict(data.draw(st.permutations(list(counts.items()))))
+    stream = [InteractionRecord(rater, ratee, 0) for (rater, ratee), w in counts.items() for _ in range(w)]
     built, counted = build_graph(stream), from_edge_counts(counts)
-    assert (counted.nodes, counted.sorted_edges()) == (built.nodes, built.sorted_edges())
-    assert counted.sorted_edges() == [("a", "b", 2), ("b", "a", 1), ("c", "a", 4)]
+    assert counted.nodes == built.nodes
+    for column in ("raters", "ratees", "weights"):
+        got, want = getattr(counted, column), getattr(built, column)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
 
 def test_from_edge_counts_rejects_self_loops_and_bad_weights():

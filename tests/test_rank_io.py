@@ -193,7 +193,8 @@ def test_ranking_csv_bytes_equal_csv_writer(scores, method):
 def test_reputation_json_bytes_equal_json_dump(scores, end, delta):
     state = state_from_scores(scores, final_delta=delta)
     window, params = TimeWindow(start=-5, end=end), RankParams(alpha=0.85)
-    expected = json.dumps(reputation_snapshot(state, window, params), indent=2, sort_keys=True) + "\n"
+    snapshot = {**reputation_snapshot(state, window, params), "scores": dict(state.scores)}
+    expected = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reputation.json"
         write_reputation_json(state, window, params, path)
@@ -238,7 +239,8 @@ def test_reputation_json_in_chunks_equals_json_dumps(tmp_path, monkeypatch, chun
     state = state_from_scores(scores)
     window, params = TimeWindow(start=3, end=10**30), RankParams(norm_mode="max")
     write_reputation_json(state, window, params, tmp_path / "reputation.json")
-    expected = json.dumps(reputation_snapshot(state, window, params), indent=2, sort_keys=True) + "\n"
+    snapshot = {**reputation_snapshot(state, window, params), "scores": dict(state.scores)}
+    expected = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "reputation.json").read_text(encoding="utf-8") == expected
 
 
