@@ -222,11 +222,10 @@ def _bar_length(score: float, max_score: float, full: int) -> float:
     return min(max(0.0, length), full)
 
 
-def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
-    """Horizontal bar chart in plain text, widths proportional to score."""
+def render_txt_chart(ranked: RankedList, k: int, title: str) -> str:
+    """Horizontal bar chart in plain text under ``title``, widths proportional to score."""
     rows = top_k(ranked, k).entries
-    name = title or ranked.method or "ranking"
-    lines = [f"{name}: top {len(rows)} of {len(ranked.nodes)}"]
+    lines = [f"{title}: top {len(rows)} of {len(ranked.nodes)}"]
     if rows:
         max_score = max(e.score for e in rows)
         label_width = max(len(e.node) for e in rows)
@@ -236,12 +235,11 @@ def render_txt_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> str:
-    """Self-contained SVG bar chart; no rendering dependencies. Text is
+def render_svg_chart(ranked: RankedList, k: int, title: str) -> str:
+    """Self-contained SVG bar chart under ``title``; no rendering dependencies. Text is
     escaped, so any node name or title gives well-formed XML; a bar is 0 to
     ``chart_w`` wide."""
     rows = top_k(ranked, k).entries
-    name = (title or ranked.method or "ranking").translate(_XML_TEXT)
     bar_h, gap, label_w, chart_w, value_w = 16, 6, 170, 400, 120
     width = label_w + chart_w + value_w + 30
     height = 40 + len(rows) * (bar_h + gap)
@@ -249,7 +247,7 @@ def render_svg_chart(ranked: RankedList, k: int, title: str | None = None) -> st
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<text x="10" y="20">{name}: top {len(rows)} of {len(ranked.nodes)}</text>',
+        f'<text x="10" y="20">{title.translate(_XML_TEXT)}: top {len(rows)} of {len(ranked.nodes)}</text>',
     ]
     for idx, e in enumerate(rows):
         y = 34 + idx * (bar_h + gap)

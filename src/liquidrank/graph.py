@@ -48,7 +48,7 @@ class RatingGraph:
     ids they were built from, and ordered by (rater id, ratee id), which is
     also (rater, ratee) order. Absent edge means weight 0;
     stored edges always have weight >= 1 and never form self-loops. Graphs
-    compare by identity; equal graphs have equal ``nodes`` and ``sorted_edges()``.
+    compare by identity; equal graphs have equal ``nodes`` and arrays.
     """
 
     nodes: tuple[str, ...]
@@ -66,14 +66,6 @@ class RatingGraph:
 
     def total_weight(self) -> int:
         return int(self.weights.sum())
-
-    def sorted_edges(self) -> list[tuple[str, str, int]]:
-        """Edges as (rater, ratee, weight) sorted by (rater, ratee)."""
-        nodes = self.nodes
-        return [
-            (nodes[i], nodes[j], w)
-            for i, j, w in zip(self.raters.tolist(), self.ratees.tolist(), self.weights.tolist())
-        ]
 
 
 def build_graph(

@@ -21,7 +21,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -75,7 +75,7 @@ class MalformedLine:
     reason: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParseResult:
     """Parsed tweets plus a tally of lines that could not be parsed.
 
@@ -84,8 +84,8 @@ class ParseResult:
     silently dropped.
     """
 
-    tweets: list[TweetRecord] = field(default_factory=list)
-    malformed: list[MalformedLine] = field(default_factory=list)
+    tweets: list[TweetRecord]
+    malformed: list[MalformedLine]
 
 
 def extract_mentions(text: str) -> list[str]:
@@ -286,8 +286,9 @@ def _posts(
         raise ValueError(f"unknown tweet format {fmt!r} (expected {' or '.join(map(repr, POST_FORMATS))})")
     authors: dict[str, str] = {}  # each raw author that passed, and its handle
     with opened as rows:
-        # Blank jsonl lines are skipped; an empty csv file (None) has no rows.
-        rows = ((n, line) for n, line in enumerate(rows, start=1) if not line.isspace()) if fmt == "jsonl" else rows
+        # Skip a jsonl line of JSON whitespace, spaces and tabs; isspace() first, as it stops at "{". None: an empty csv.
+        if fmt == "jsonl":
+            rows = ((n, line) for n, line in enumerate(rows, start=1) if not line.isspace() or line.strip(" \t\r\n"))
         for line_no, raw in rows or ():
             try:
                 author, text, timestamp = decode(raw)
@@ -351,9 +352,8 @@ def parse_tweets(source: str | Path, fmt: str = "jsonl", *, strict: bool = True)
     ``strict`` is true; otherwise malformed lines are skipped and tallied in
     the result.
     """
-    result = ParseResult()
-    result.tweets = [TweetRecord(*post) for post in _posts(source, fmt, strict, result.malformed)]
-    return result
+    malformed: list[MalformedLine] = []
+    return ParseResult([TweetRecord(*post) for post in _posts(source, fmt, strict, malformed)], malformed)
 
 
 def read_post_columns(

@@ -419,7 +419,7 @@ def test_report_svg_chart(workspace):
 )
 def test_svg_chart_is_well_formed_xml_with_bars_at_least_0_wide(rows, method):
     ranked = RankedList(method, [node for node, _ in rows], [score for _, score in rows])
-    svg = ElementTree.fromstring(cli.render_svg_chart(ranked, k=5))
+    svg = ElementTree.fromstring(cli.render_svg_chart(ranked, k=5, title=method))
     widths = [float(rect.get("width")) for rect in svg.iter("{http://www.w3.org/2000/svg}rect")]
     assert len(widths) == len(rows) and all(width >= 0 for width in widths)
 
@@ -842,7 +842,8 @@ def test_ingest_reproduces_golden_output(workspace, capsys, fmt, strict):
     assert code == 0
     assert out == (golden / "lenient.stdout").read_text(encoding="utf-8")
     assert err == (golden / "lenient.stderr").read_text(encoding="utf-8")
-    assert (workspace / "out" / "interactions.csv").read_bytes() == (golden / "interactions.csv").read_bytes()
+    for name in ("interactions.csv", "interactions.csv.cols"):
+        assert (workspace / "out" / name).read_bytes() == (golden / name).read_bytes(), name
     stage = json.loads((workspace / "out" / "manifest.json").read_text())["stages"]["ingest"]
     assert stage["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
 

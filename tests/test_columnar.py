@@ -20,7 +20,8 @@ from liquidrank.rank import liquid_rank, mention_rank, product_rank, to_ranked_l
 # per window: golden_<start>_<end>. The mention rankings are those the
 # dict-and-sort implementation the columnar path replaced wrote; the liquid and
 # product rankings and reputation.json were rewritten when the stopping rule
-# became relative to the top score.
+# became relative to the top score. evaluated_0_1000 holds a judgments.csv
+# and what evaluate and report write from the first window's rankings.
 WINDOWS = Path(__file__).parent / "data" / "windows"
 
 HANDLES = ["b", "a", "a_", "aa", "z9", "c"]
@@ -65,7 +66,8 @@ def test_columnar_graph_and_rankings_match_counter_reference(text_file, records,
     text = "rater,ratee,timestamp\n" + "".join(f"{r.rater},{r.ratee},{r.timestamp}\n" for r in records)
     for graph in (build_graph(records, window), build_graph(read_interaction_columns(text_file(text)), window)):
         assert graph.nodes == nodes
-        assert graph.sorted_edges() == sorted((i, j, w) for (i, j), w in counts.items())
+        ids = sorted((nodes.index(i), nodes.index(j), w) for (i, j), w in counts.items())
+        assert list(zip(graph.raters.tolist(), graph.ratees.tolist(), graph.weights.tolist())) == ids
         assert graph.total_weight() == len(kept)
         if not nodes:
             with pytest.raises(DomainError, match="mention ranking needs at least one node"):
@@ -95,3 +97,18 @@ def test_rank_window_sequence_writes_golden_artifacts(tmp_path):
         assert written == sorted(p.name for p in golden.iterdir())
         for name in written:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), f"{golden.name}/{name}"
+
+
+def test_evaluate_and_report_write_golden_artifacts(tmp_path, monkeypatch, capsys):
+    golden = WINDOWS / "evaluated_0_1000"
+    rankings = [str(WINDOWS / "golden_0_1000" / f"ranking_{m}.csv") for m in ("mentions", "liquid", "product")]
+    monkeypatch.chdir(tmp_path)  # stdout names the artifacts by their relative paths
+    argv = ["evaluate", *rankings, "--judgments", str(golden / "judgments.csv"), "--k", "10", "--out-dir", "out"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (golden / "evaluate.stdout").read_text(encoding="utf-8")
+    for chart_format in ("txt", "svg"):
+        assert main(["report", *rankings, "--k", "10", "--format", chart_format, "--out-dir", "out"]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
+    assert written == sorted(p.name for p in golden.iterdir() if p.name not in ("judgments.csv", "evaluate.stdout"))
+    for name in written:
+        assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes(), name

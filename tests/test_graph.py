@@ -21,6 +21,11 @@ def records(*triples):
     return [InteractionRecord(r, e, t) for r, e, t in triples]
 
 
+def edges(graph):
+    """The three edge arrays as lists: rater ids, ratee ids, weights."""
+    return graph.raters.tolist(), graph.ratees.tolist(), graph.weights.tolist()
+
+
 def inflow(graph):
     """Each node's total inbound weight, read off its mention-ranking score."""
     ranked = mention_rank(graph)
@@ -30,7 +35,7 @@ def inflow(graph):
 def test_build_graph_counts_repeat_mentions():
     graph = build_graph(records(("a", "b", 1), ("a", "b", 2), ("b", "a", 3)))
     assert graph.nodes == ("a", "b")
-    assert graph.sorted_edges() == [("a", "b", 2), ("b", "a", 1)]
+    assert edges(graph) == ([0, 1], [1, 0], [2, 1])
     assert graph.total_weight() == 3
     assert graph.edge_count == 2
     assert graph.node_count == 2
@@ -45,13 +50,13 @@ def test_build_graph_keeps_pure_raters_and_pure_ratees():
 def test_build_graph_order_independent():
     fwd = build_graph(records(("a", "b", 1), ("c", "b", 2), ("b", "a", 3)))
     rev = build_graph(records(("b", "a", 3), ("c", "b", 2), ("a", "b", 1)))
-    assert (fwd.nodes, fwd.sorted_edges()) == (rev.nodes, rev.sorted_edges())
+    assert (fwd.nodes, edges(fwd)) == (rev.nodes, edges(rev))
 
 
 def test_build_graph_empty():
     graph = build_graph([])
     assert graph.nodes == ()
-    assert graph.sorted_edges() == []
+    assert edges(graph) == ([], [], [])
     assert graph.total_weight() == 0
 
 
@@ -59,7 +64,7 @@ def test_window_is_half_open():
     window = TimeWindow(start=10, end=20)
     recs = records(("a", "b", 9), ("a", "b", 10), ("a", "b", 19), ("a", "b", 20))
     graph = build_graph(recs, window)
-    assert graph.sorted_edges() == [("a", "b", 2)]
+    assert (graph.nodes, edges(graph)) == (("a", "b"), ([0], [1], [2]))
 
 
 def test_window_filters_out_everything():
@@ -108,9 +113,9 @@ def test_from_edge_counts_rejects_self_loops_and_bad_weights():
         from_edge_counts({("a", "b"): -2})
 
 
-def test_sorted_edges_orders_by_rater_then_ratee():
+def test_edges_order_by_rater_then_ratee():
     graph = from_edge_counts({("b", "a"): 1, ("a", "c"): 2, ("a", "b"): 3})
-    assert graph.sorted_edges() == [("a", "b", 3), ("a", "c", 2), ("b", "a", 1)]
+    assert (graph.nodes, edges(graph)) == (("a", "b", "c"), ([0, 0, 1], [1, 2, 0], [3, 2, 1]))
 
 
 def test_inflow_counts_per_node():
@@ -141,6 +146,6 @@ def test_window_mask_is_exact_at_the_int64_edges(text_file, start, end):
                                   [0] * len(EDGE_STAMPS), list(range(1, len(EDGE_STAMPS) + 1)), EDGE_STAMPS)
     for columns in (read_interaction_columns(text_file(text)), as_lists):
         graph = build_graph(columns, window)
-        assert [int(ratee.removeprefix("b")) for _, ratee, _ in graph.sorted_edges()] == [
+        assert [int(graph.nodes[j].removeprefix("b")) for j in graph.ratees.tolist()] == [
             EDGE_STAMPS.index(ts) for ts in kept
         ]

@@ -94,9 +94,21 @@ def test_parse_jsonl_happy_path(text_file):
 
 
 def test_parse_jsonl_skips_blank_lines(text_file):
-    text = '\n{"author": "a", "text": "", "timestamp": 0}\n\n'
+    text = '\n{"author": "a", "text": "", "timestamp": 0}\n\n \t \r\n\t\r'
     result = parse_tweets(text_file(text), "jsonl")
     assert len(result.tweets) == 1
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u2028", "\u0085", "\f", "\v", "\x1c", " \f\t"])
+def test_parse_jsonl_line_of_other_whitespace_is_malformed(text_file, space):
+    # Only spaces and tabs are JSON whitespace; str.isspace() holds for all of these.
+    path = text_file(f'{{"author": "a", "text": "", "timestamp": 0}}\n{space}\n')
+    result = parse_tweets(path, "jsonl", strict=False)
+    assert (len(result.tweets), [m.line for m in result.malformed]) == (1, [2])
+    assert result.malformed[0].reason.startswith("Expecting value")
+    with pytest.raises(FormatError) as exc_info:
+        parse_tweets(path, "jsonl")
+    assert exc_info.value.line == 2
 
 
 @pytest.mark.parametrize(

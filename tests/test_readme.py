@@ -46,7 +46,7 @@ def test_quick_start_runs(tmp_path, monkeypatch):
 
 
 # The Knobs table's defaults that are words, as the values argparse holds.
-DEFAULT_WORDS = {"off": False, "by file suffix": None}
+DEFAULT_WORDS = {"off": False}
 # What each command needs besides its options.
 OPERANDS = {"ingest": ["--input", "t.jsonl"], "rank": [], "evaluate": ["r.csv", "--judgments", "j.csv"], "report": ["r.csv"]}
 
